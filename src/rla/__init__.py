@@ -16,8 +16,8 @@ from .config import Config, from_env
 from .derivations import (Derivation, construct_case_derivation, der, der_p,
                           explicit_h1_char2_outer, find_nilpotent_outer,
                           find_square_zero_outer, h1_adjoint_dim, inner,
-                          leibniz_defect, nilpotent_outer_exists,
-                          outer_by_centralizer_criterion, restricted_defect)
+                          leibniz_defect, outer_by_centralizer_criterion,
+                          restricted_defect)
 from .errors import (AntisymmetryError, BudgetExceededError,
                      CertificationError, DocumentError, JacobiError,
                      ModuleValidationError, NotADerivationError,
@@ -25,12 +25,9 @@ from .errors import (AntisymmetryError, BudgetExceededError,
                      ValidationError)
 from .harness import (CLAIM_DESCRIPTIONS, InstanceResult, TheoremReport,
                       default_dim_bound, exception_tag, export_csv, summarize,
-                      verify_claim, verify_corollary_char,
-                      verify_heisenberg_char2, verify_remark_counterexample,
-                      verify_structural_props, verify_theorem_nilpoutder,
-                      verify_theorem_outder, verify_torus_vanishing)
+                      verify_claim)
 from .linalg import (Subspace, coeff_blocks, complements, enumerate_subspaces,
-                     kernel, mat_mul, mat_pow, rref, solve)
+                     kernel, mat_pow, rref, solve)
 from .structure import (bracket_space, center, centralizer,
                         codim1_max_p_ideals, derived, is_abelian,
                         is_abelian_subspace, is_ideal, is_nilpotent,

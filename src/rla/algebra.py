@@ -132,10 +132,6 @@ class RestrictedLieAlgebra:
     def element(self, coords) -> "Element":
         return Element(self, asmod(coords, self.p))
 
-    def table_equal(self, other: "RestrictedLieAlgebra") -> bool:
-        return (self.p == other.p and np.array_equal(self.sc, other.sc)
-                and np.array_equal(self.pmap, other.pmap))
-
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else f"x{i}"
 
@@ -288,10 +284,12 @@ def twist_pmap(L: RestrictedLieAlgebra, A: Subspace) -> RestrictedLieAlgebra:
     """Replace the p-map by the one vanishing on a basis of the abelian p-ideal
     A and agreeing with the old p-map on the standard transversal; same bracket.
 
-    The result has the same underlying space and structure constants; the new
-    table is re-expressed on the original basis. For any two p-maps over one
-    bracket the difference is central (their ad images agree), which callers
-    rely on.
+    The result has the same structure constants and labels. Two p-maps over
+    one bracket differ by a linear map into the center (their ad images
+    agree), which callers rely on. That difference is zero on the transversal
+    and -a^[p] on each basis row a of A. A's basis is in RREF, so each row a
+    is x_c plus transversal terms, c its pivot: only x_c^[p] changes, and it
+    drops by a^[p].
     """
     from .structure import is_abelian_subspace, is_p_ideal
 
@@ -301,34 +299,10 @@ def twist_pmap(L: RestrictedLieAlgebra, A: Subspace) -> RestrictedLieAlgebra:
         raise PreconditionError("twist requires an abelian ideal")
     if not is_p_ideal(L, A):
         raise PreconditionError("twist requires a p-ideal")
-    n, p, k = L.dim, L.p, A.dim
-    transversal = A.non_pivot_indices()
-    cols = [A.basis[i] for i in range(k)] + [np.eye(n, dtype=np.int64)[t] for t in transversal]
-    basis_mat = np.stack(cols, axis=1) % p  # columns: new basis in old coordinates
-    inv = _mat_inv(basis_mat, p)
-    sc_new = np.zeros((n, n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            sc_new[a, b] = (inv @ L.bracket_vec(basis_mat[:, a], basis_mat[:, b])) % p
-    pmap_new = np.zeros((n, n), dtype=np.int64)
-    for a in range(k, n):
-        pmap_new[a] = (inv @ L.ppow_vec(basis_mat[:, a])) % p
-    twisted = RestrictedLieAlgebra(p, sc_new, pmap_new)
-    pmap_orig = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        coords = inv[:, i]
-        pmap_orig[i] = (basis_mat @ twisted.ppow_vec(coords)) % p
-    return RestrictedLieAlgebra(p, L.sc, pmap_orig, labels=L.labels)
-
-
-def _mat_inv(m: np.ndarray, p: int) -> np.ndarray:
-    from .linalg import _rref
-
-    n = m.shape[0]
-    aug, pivots = _rref(np.hstack([m % p, np.eye(n, dtype=np.int64)]), p)
-    if list(pivots) != list(range(n)):
-        raise ValueError("matrix is singular")
-    return aug[:, n:]
+    pmap = L.pmap.copy()
+    for row, c in zip(A.basis, A.pivots):
+        pmap[c] = (pmap[c] - L.ppow_vec(row)) % L.p
+    return RestrictedLieAlgebra(L.p, L.sc, pmap, labels=L.labels)
 
 
 # -- JSON document interface -----------------------------------------------

@@ -76,12 +76,13 @@ def _format_derivation(L: RestrictedLieAlgebra, mat: np.ndarray) -> List[str]:
     return lines
 
 
-def _print_search(name: str, L: RestrictedLieAlgebra, witness) -> None:
-    if witness is None:
+def _print_search(name: str, L: RestrictedLieAlgebra,
+                  matrix: Optional[np.ndarray]) -> None:
+    if matrix is None:
         print(f"{name}: none (complete search)")
     else:
         print(f"{name}: witness")
-        for line in _format_derivation(L, witness.matrix):
+        for line in _format_derivation(L, matrix):
             print(line)
 
 
@@ -136,28 +137,21 @@ def cmd_derivations(args) -> int:
     print(f"inner: {inn.dim}")
     print(f"h1: {h1_adjoint_dim(L)}")
     if args.restricted:
-        w = None
-        if dp.dim:
-            w = _Witness(dp.basis[0].reshape(L.dim, L.dim))
-        _print_search("restricted", L, w)
+        m = dp.basis[0].reshape(L.dim, L.dim) if dp.dim else None
+        _print_search("restricted", L, m)
     if args.outer:
-        w = next((_Witness(row.reshape(L.dim, L.dim)) for row in dp.basis
+        m = next((row.reshape(L.dim, L.dim) for row in dp.basis
                   if not inn.contains_vector(row)), None)
-        _print_search("outer restricted", L, w)
+        _print_search("outer restricted", L, m)
     if args.square_zero:
+        w = find_square_zero_outer(L, cfg.search_budget)
         _print_search("square-zero outer restricted", L,
-                      find_square_zero_outer(L, cfg.search_budget))
+                      w.matrix if w is not None else None)
     if args.nilpotent:
+        w = find_nilpotent_outer(L, cfg.search_budget)
         _print_search("nilpotent outer restricted", L,
-                      find_nilpotent_outer(L, cfg.search_budget))
+                      w.matrix if w is not None else None)
     return EXIT_OK
-
-
-class _Witness:
-    """Bare matrix wrapper so basis picks print like search results."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
 
 
 def cmd_h1(args) -> int:

@@ -1,4 +1,4 @@
-"""Runtime configuration for searches, enumeration bounds, and reporting."""
+"""Runtime configuration: search budget, worker count and seed."""
 
 from __future__ import annotations
 
@@ -8,15 +8,10 @@ from dataclasses import dataclass, replace
 from .errors import PreconditionError
 from .linalg import DEFAULT_BUDGET
 
-OUTPUT_FORMATS = ("text", "json", "csv")
-
 
 @dataclass(frozen=True)
 class Config:
     search_budget: int = DEFAULT_BUDGET
-    max_enum_p: int = 3
-    max_enum_dim: int = 4
-    output_format: str = "text"
     workers: int = 1
     seed: int = 0
 
@@ -25,9 +20,6 @@ class Config:
             raise PreconditionError("search budget must be at least 1")
         if self.workers < 1:
             raise PreconditionError("worker count must be at least 1")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise PreconditionError(
-                f"output format must be one of {OUTPUT_FORMATS}")
 
 
 def from_env(base: Config = Config()) -> Config:

@@ -334,10 +334,6 @@ def find_nilpotent_outer(L: Alg, budget: int = DEFAULT_BUDGET) -> Optional[Deriv
     return None
 
 
-def nilpotent_outer_exists(L: Alg, budget: int = DEFAULT_BUDGET) -> bool:
-    return find_nilpotent_outer(L, budget) is not None
-
-
 def explicit_h1_char2_outer(L: Alg) -> Derivation:
     """For the 3-dimensional char-2 nilpotent non-abelian algebra (any
     central-valued p-map): the derivation vanishing on the center and inducing

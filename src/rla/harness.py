@@ -129,7 +129,12 @@ class TheoremReport:
                 "summary": _plain(self.summary)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        # json.dumps with indent joins a list of every small chunk it encodes,
+        # which peaks at several times the text's size; a buffer does not
+        buf = io.StringIO()
+        json.dump(self.to_dict(), buf, sort_keys=True, indent=2)
+        buf.write("\n")
+        return buf.getvalue()
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "TheoremReport":
@@ -499,6 +504,12 @@ def _population(claim: str, p: Optional[int], dim_bound: Optional[int]
         return entries, desc
     p = 2 if p is None else p
     bound = default_dim_bound(p) if dim_bound is None else dim_bound
+    # checked before any generator is built: the enumerator checks its own
+    # bounds only when first advanced, and a bound below 1 is a vacuous pass
+    if p not in (2, 3) or not 1 <= bound <= default_dim_bound(p):
+        raise PreconditionError(
+            f"enumerated populations need p in {{2, 3}} and 1 <= dim bound <= "
+            f"4 (p = 2) or 3 (p = 3), got p={p}, dim bound={bound}")
     desc = {"source": "enumerate_nilpotent", "p": p,
             "dims": list(range(1, bound + 1)), "filter": None}
     entries = _enumerated_entries(p, bound)
@@ -540,39 +551,3 @@ def verify_claim(claim: str, p: Optional[int] = None,
     return TheoremReport(claim=claim, population=desc, instances=results,
                          summary=summarize(results))
 
-
-def verify_theorem_nilpoutder(p: int, dim_bound: Optional[int] = None,
-                              config: Optional[Config] = None) -> TheoremReport:
-    return verify_claim("Thm-3.3", p, dim_bound, config)
-
-
-def verify_corollary_char(p: int, dim_bound: Optional[int] = None,
-                          config: Optional[Config] = None) -> TheoremReport:
-    return verify_claim("Cor-3.4", p, dim_bound, config)
-
-
-def verify_theorem_outder(p: int, dim_bound: Optional[int] = None,
-                          config: Optional[Config] = None) -> TheoremReport:
-    return verify_claim("Thm-3.6", p, dim_bound, config)
-
-
-def verify_structural_props(p: int, dim_bound: Optional[int] = None,
-                            config: Optional[Config] = None,
-                            claim: str = "Prop-2.4") -> TheoremReport:
-    if claim not in ("Prop-2.4", "Prop-2.5-dimformula", "Lem-2.6"):
-        raise PreconditionError(f"not a structural claim: {claim!r}")
-    return verify_claim(claim, p, dim_bound, config)
-
-
-def verify_torus_vanishing(p: Optional[int] = None,
-                           config: Optional[Config] = None) -> TheoremReport:
-    return verify_claim("Prop-3.1", p, None, config)
-
-
-def verify_heisenberg_char2(config: Optional[Config] = None) -> TheoremReport:
-    return verify_claim("Prop-3.2", 2, None, config)
-
-
-def verify_remark_counterexample(p: Optional[int] = None,
-                                 config: Optional[Config] = None) -> TheoremReport:
-    return verify_claim("Remark-counterexample", p, None, config)

@@ -46,10 +46,6 @@ def inv_scalar(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
-
-
 def mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
     """m**e mod p by binary exponentiation; reduces after every product."""
     n = m.shape[0]

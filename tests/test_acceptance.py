@@ -74,7 +74,7 @@ def test_criterion_02_char2_heisenberg_exception(capsys):
                 if d.is_nilpotent:
                     assert inn.contains_vector(vec)
             assert rla.find_square_zero_outer(L) is None
-        assert rla.verify_heisenberg_char2().clean
+        assert verify_claim("Prop-3.2").clean
     _criterion(capsys, 2,
                "char-2 Heisenberg: nilpotent restricted derivations are inner",
                1.0, body)

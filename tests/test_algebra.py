@@ -131,6 +131,28 @@ def test_twist_pmap_zero_and_full(heis2u):
     assert not flat.pmap.any()
 
 
+def test_twist_pmap_non_unit_rows():
+    # abelian p-ideals of every GF(3) dim-2 structure and of every GF(3)
+    # Heisenberg structure, many with basis rows that are not unit vectors
+    algs = [e.algebra for e in rla.enumerate_nilpotent(3, 2)]
+    algs += [e.algebra for e in rla.enumerate_nilpotent(3, 3)
+             if not rla.is_abelian(e.algebra)]
+    non_unit = 0
+    for L in algs:
+        for a in rla.enumerate_subspaces(L.dim, 3):
+            if not (rla.is_abelian_subspace(L, a) and rla.is_p_ideal(L, a)):
+                continue
+            non_unit += int((a.basis != 0).sum() > a.dim)
+            tw = twist_pmap(L, a)
+            assert np.array_equal(tw.sc, L.sc)
+            for row in a.basis:
+                assert not tw.ppow_vec(row).any()
+            for t in a.non_pivot_indices():
+                e = np.eye(L.dim, dtype=np.int64)[t]
+                assert np.array_equal(tw.ppow_vec(e), L.ppow_vec(e))
+    assert non_unit > 0
+
+
 def test_twist_pmap_requires_abelian_p_ideal(heis2u):
     not_ideal = Subspace.from_rows(np.array([[1, 0, 0]], dtype=np.int64), 2, 3)
     with pytest.raises(rla.PreconditionError):

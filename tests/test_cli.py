@@ -193,6 +193,10 @@ def test_verify_unknown_claim(capsys):
 def test_verify_claim_precondition(capsys):
     code, _, err = run(capsys, "verify", "--claim", "Prop-3.2", "--p", "3")
     assert code == 2 and "characteristic 2" in err
+    code, out, err = run(capsys, "verify", "--claim", "Thm-3.3", "--dim", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "dim bound" in err
+    assert "Traceback" not in err
 
 
 def test_verify_failure_exit(capsys, monkeypatch):

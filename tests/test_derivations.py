@@ -124,8 +124,6 @@ def test_find_nilpotent_outer(heis2u, heis3):
     d = rla.find_nilpotent_outer(heis3)
     assert d is not None
     assert d.is_nilpotent and d.is_restricted and not d.is_inner
-    assert rla.nilpotent_outer_exists(heis3)
-    assert not rla.nilpotent_outer_exists(heis2u)
 
 
 def test_budget_is_distinct_from_absence(heis2u):

@@ -28,13 +28,22 @@ def test_default_dim_bound():
 def test_unknown_claim():
     with pytest.raises(PreconditionError, match="unknown claim"):
         verify_claim("Thm-9.9")
-    with pytest.raises(PreconditionError, match="structural"):
-        rla.verify_structural_props(2, 2, claim="Thm-3.3")
 
 
-def test_claim_population_guards():
+def test_claim_population_guards(monkeypatch):
     with pytest.raises(PreconditionError, match="characteristic 2"):
         verify_claim("Prop-3.2", p=3)
+
+    # an empty population is an error, not a vacuous pass, and an
+    # out-of-range one is refused before anything is enumerated
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("population enumerated before its bounds were checked")
+
+    monkeypatch.setattr("rla.harness.enumerate_nilpotent", no_enumeration)
+    for claim, p, bound in (("Thm-3.3", 2, 0), ("Prop-2.4", 2, 5),
+                            ("Thm-3.3", 3, 4), ("Thm-3.3", 5, 2)):
+        with pytest.raises(PreconditionError, match="dim bound"):
+            verify_claim(claim, p, bound)
 
 
 def test_main_theorem_small_populations():
@@ -86,26 +95,24 @@ def test_other_claims_small_populations():
 
 
 def test_catalog_claims():
-    rep = rla.verify_torus_vanishing()
+    rep = verify_claim("Prop-3.1")
     assert rep.summary["total"] == 9 and rep.clean
     assert rep.population["names"][0] == "torus1-gf2"
-    assert rla.verify_heisenberg_char2().summary == {
+    assert verify_claim("Prop-3.2").summary == {
         "pass": 8, "fail": 0, "exception": 0, "budget": 0, "total": 8}
-    rep = rla.verify_remark_counterexample()
+    rep = verify_claim("Remark-counterexample")
     assert rep.summary == {"pass": 3, "fail": 0, "exception": 0,
                            "budget": 0, "total": 3}
 
 
 def test_wrappers_delegate():
-    a = rla.verify_theorem_nilpoutder(3, 2)
-    b = verify_claim("Thm-3.3", 3, 2)
-    assert a.to_dict() == b.to_dict()
-    c = rla.verify_corollary_char(3, 2)
-    assert c.claim == "Cor-3.4" and c.clean
-    d = rla.verify_theorem_outder(3, 2)
-    assert d.claim == "Thm-3.6" and d.clean
-    e = rla.verify_structural_props(3, 2, claim="Lem-2.6")
-    assert e.claim == "Lem-2.6" and e.clean
+    # verify_claim is the one entry point; each claim id names its report
+    a = verify_claim("Thm-3.3", 3, 2)
+    assert a.claim == "Thm-3.3" and a.summary == {
+        "pass": 33, "fail": 0, "exception": 51, "budget": 0, "total": 84}
+    for claim in ("Cor-3.4", "Thm-3.6", "Lem-2.6"):
+        rep = verify_claim(claim, 3, 2)
+        assert rep.claim == claim and rep.clean
 
 
 def test_reports_deterministic_and_round_trip(tmp_path):
