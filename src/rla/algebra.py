@@ -2,15 +2,17 @@
 
 An algebra of dimension n is stored as a tensor sc of shape (n, n, n) with
 sc[i, j] = coordinates of [x_i, x_j], plus a table pmap of shape (n, n) with
-pmap[i] = coordinates of x_i^[p]. Construction validates antisymmetry, the
-Jacobi identity, and ad(x_i^[p]) = (ad x_i)^p; the p-operation on arbitrary
-elements is the unique extension of the table.
+pmap[i] = coordinates of x_i^[p]. Algebras on one table share one LieBracket,
+which checks antisymmetry and the Jacobi identity once; construction validates
+ad(x_i^[p]) = (ad x_i)^p. The p-operation on arbitrary elements is the unique
+extension of the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,24 +22,87 @@ from .linalg import Subspace, asmod, check_prime, inv_scalar, mat_pow
 
 _DOC_KEYS = {"p", "dim", "labels", "brackets", "pmap"}
 _BRACKET_KEYS = {"i", "j", "v"}
+_INTERNED_BRACKETS = 64  # each claim population, quotients included, uses at most 11
+
+
+def _cached(owner, key, fn):
+    """fn(), stored on the object that determines it (a LieBracket, an algebra
+    or a derivation). A call that raises stores nothing."""
+    cache = vars(owner).setdefault("_cache", {})
+    if key not in cache:
+        cache[key] = fn()
+    return cache[key]
+
+
+class LieBracket:
+    """A structure-constant table over GF(p) and what it alone determines.
+
+    Shared by every algebra on the table, so sc and ad_basis are read-only."""
+
+    def __init__(self, p: int, sc: np.ndarray):
+        self.p = p
+        self.sc = sc
+        sc.setflags(write=False)
+        # ad matrices of basis elements: ad_basis[i] @ v = [x_i, v]
+        self.ad_basis = np.ascontiguousarray(sc.transpose(0, 2, 1))
+        self.ad_basis.setflags(write=False)
+
+    def validate(self) -> None:
+        """Antisymmetry and the Jacobi identity, checked once per bracket."""
+        _cached(self, "axioms", self._check_axioms)
+
+    def _check_axioms(self) -> bool:
+        n, p, sc = self.sc.shape[0], self.p, self.sc
+        anti = (sc + sc.transpose(1, 0, 2)) % p
+        bad = np.argwhere(anti.any(axis=2))
+        if bad.size:
+            i, j = bad[0]
+            raise AntisymmetryError(int(i), int(j))
+        diag = np.arange(n)
+        bad = np.argwhere(sc[diag, diag].any(axis=1))
+        if bad.size:  # [x_i, x_i] = 0 is independent of antisymmetry in char 2
+            i = int(bad[0][0])
+            raise AntisymmetryError(i, i)
+        # jac[i,j,k] = [[x_i,x_j],x_k] summed cyclically
+        single = np.einsum("ijm,mkl->ijkl", sc, sc) % p
+        jac = (single + single.transpose(1, 2, 0, 3) + single.transpose(2, 0, 1, 3)) % p
+        bad = np.argwhere(jac.any(axis=3))
+        if bad.size:
+            i, j, k = (int(v) for v in bad[0])
+            raise JacobiError(i, j, k)
+        return True
+
+    def ad_power(self, e: int) -> np.ndarray:
+        """(ad x_i)^e stacked over the basis index i."""
+        def compute():
+            out = np.array([mat_pow(a, e, self.p) for a in self.ad_basis],
+                           dtype=np.int64).reshape(self.ad_basis.shape)
+            out.setflags(write=False)
+            return out
+        return _cached(self, ("ad_power", e), compute)
+
+
+@lru_cache(maxsize=_INTERNED_BRACKETS)
+def _bracket(p: int, shape: Tuple[int, ...], table: bytes) -> LieBracket:
+    return LieBracket(p, np.frombuffer(table, dtype=np.int64).reshape(shape))
 
 
 class RestrictedLieAlgebra:
     def __init__(self, p: int, sc, pmap, labels: Optional[Sequence[str]] = None,
                  validate: bool = True):
         self.p = check_prime(p)
-        self.sc = asmod(sc, self.p)
+        sc = asmod(sc, self.p)
         self.pmap = asmod(pmap, self.p)
         n = self.pmap.shape[0] if self.pmap.ndim else 0
-        if self.sc.shape != (n, n, n) or self.pmap.shape != (n, n):
-            raise ValueError(f"table shapes {self.sc.shape}/{self.pmap.shape} "
+        if sc.shape != (n, n, n) or self.pmap.shape != (n, n):
+            raise ValueError(f"table shapes {sc.shape}/{self.pmap.shape} "
                              f"do not match dimension {n}")
         self.labels: Optional[Tuple[str, ...]] = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels length does not match dimension")
-        # ad matrices of basis elements: ad_basis[i] @ v = [x_i, v]
-        self.ad_basis = np.ascontiguousarray(self.sc.transpose(0, 2, 1))
-        self._cache: Dict = {}
+        self.bracket = _bracket(self.p, sc.shape, sc.tobytes())
+        self.sc = self.bracket.sc
+        self.ad_basis = self.bracket.ad_basis
         if validate:
             self.validate()
 
@@ -48,29 +113,11 @@ class RestrictedLieAlgebra:
     # -- validation -----------------------------------------------------
 
     def validate(self) -> None:
-        n, p = self.dim, self.p
-        anti = (self.sc + self.sc.transpose(1, 0, 2)) % p
-        bad = np.argwhere(anti.any(axis=2))
+        self.bracket.validate()
+        lhs = np.einsum("ri,ikj->rkj", self.pmap, self.ad_basis) % self.p
+        bad = np.argwhere((lhs != self.bracket.ad_power(self.p)).any(axis=(1, 2)))
         if bad.size:
-            i, j = bad[0]
-            raise AntisymmetryError(int(i), int(j))
-        diag = np.arange(n)
-        bad = np.argwhere(self.sc[diag, diag].any(axis=1))
-        if bad.size:  # [x_i, x_i] = 0 is independent of antisymmetry in char 2
-            i = int(bad[0][0])
-            raise AntisymmetryError(i, i)
-        # jac[i,j,k] = [[x_i,x_j],x_k] summed cyclically
-        single = np.einsum("ijm,mkl->ijkl", self.sc, self.sc) % p
-        jac = (single + single.transpose(1, 2, 0, 3) + single.transpose(2, 0, 1, 3)) % p
-        bad = np.argwhere(jac.any(axis=3))
-        if bad.size:
-            i, j, k = (int(v) for v in bad[0])
-            raise JacobiError(i, j, k)
-        for i in range(n):
-            lhs = self.ad(self.pmap[i])
-            rhs = mat_pow(self.ad_basis[i], p, p)
-            if not np.array_equal(lhs, rhs):
-                raise PMapCompatibilityError(i)
+            raise PMapCompatibilityError(int(bad[0][0]))
 
     # -- basic operations ------------------------------------------------
 

@@ -11,7 +11,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .algebra import RestrictedLieAlgebra
+from .algebra import RestrictedLieAlgebra, _cached
 from .errors import (BudgetExceededError, CertificationError,
                      NotADerivationError, PreconditionError)
 from .linalg import (DEFAULT_BUDGET, Subspace, asmod, coeff_blocks, kernel,
@@ -21,15 +21,6 @@ from .structure import (center, centralizer, codim1_max_p_ideals, derived,
                         maximal_abelian_p_ideal, maximal_torus)
 
 Alg = RestrictedLieAlgebra
-
-
-def _ad_powers(L: Alg) -> np.ndarray:
-    """(ad x_i)^(p-1) for every basis index, cached."""
-    if "ad_pm1" not in L._cache:
-        L._cache["ad_pm1"] = np.stack(
-            [mat_pow(L.ad_basis[i], L.p - 1, L.p) for i in range(L.dim)]
-        ) if L.dim else np.zeros((0, 0, 0), dtype=np.int64)
-    return L._cache["ad_pm1"]
 
 
 def leibniz_defect(L: Alg, m: np.ndarray) -> np.ndarray:
@@ -62,35 +53,25 @@ class Derivation:
         if bad.size:
             i, j = bad[0]
             raise NotADerivationError(int(i), int(j))
-        self._flags: dict = {}
 
     def __call__(self, v) -> np.ndarray:
         return (self.matrix @ asmod(v, self.algebra.p)) % self.algebra.p
 
     @property
     def is_restricted(self) -> bool:
-        if "restricted" not in self._flags:
+        def compute():
             L = self.algebra
-            if L.dim == 0:
-                self._flags["restricted"] = True
-            else:
-                lhs = (self.matrix @ L.pmap.T) % L.p
-                rhs = np.einsum("imk,ki->mi", _ad_powers(L), self.matrix) % L.p
-                self._flags["restricted"] = np.array_equal(lhs, rhs)
-        return self._flags["restricted"]
+            lhs = (self.matrix @ L.pmap.T) % L.p
+            rhs = np.einsum("imk,ki->mi", L.bracket.ad_power(L.p - 1), self.matrix) % L.p
+            return np.array_equal(lhs, rhs)
+        return _cached(self, "restricted", compute)
 
     @property
     def inner_witness(self) -> Optional[np.ndarray]:
         """Some a with ad(a) = D, free coordinates zero; None if D is outer."""
-        if "inner" not in self._flags:
-            L = self.algebra
-            n = L.dim
-            if n == 0:
-                self._flags["inner"] = np.zeros(0, dtype=np.int64)
-            else:
-                cols = L.ad_basis.reshape(n, n * n).T
-                self._flags["inner"] = solve(cols, self.matrix.reshape(-1), L.p)
-        return self._flags["inner"]
+        L = self.algebra
+        return _cached(self, "inner", lambda: solve(
+            L.ad_basis.reshape(L.dim, L.dim ** 2).T, self.matrix.reshape(-1), L.p))
 
     @property
     def is_inner(self) -> bool:
@@ -113,39 +94,34 @@ class Derivation:
 
 
 def _leibniz_rows(L: Alg) -> np.ndarray:
-    n, p = L.dim, L.p
-    eye = np.eye(n, dtype=np.int64)
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            block = np.kron(eye, L.sc[i, j][None, :])
-            block = (block + np.kron(L.ad_basis[j], eye[i][None, :])) % p
-            block = (block - np.kron(L.ad_basis[i], eye[j][None, :])) % p
-            rows.append(block)
-    if not rows:
-        return np.zeros((0, n * n), dtype=np.int64)
-    return np.vstack(rows)
+    def compute():
+        n, p = L.dim, L.p
+        eye = np.eye(n, dtype=np.int64)
+        rows = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                block = np.kron(eye, L.sc[i, j][None, :])
+                block = (block + np.kron(L.ad_basis[j], eye[i][None, :])) % p
+                block = (block - np.kron(L.ad_basis[i], eye[j][None, :])) % p
+                rows.append(block)
+        if not rows:
+            return np.zeros((0, n * n), dtype=np.int64)
+        return np.vstack(rows)
+    return _cached(L.bracket, "leibniz_rows", compute)
 
 
 def _restricted_rows(L: Alg) -> np.ndarray:
+    """D(x_i^[p]) = (ad x_i)^(p-1)(D x_i) for each i; requires dim >= 1."""
     n, p = L.dim, L.p
     eye = np.eye(n, dtype=np.int64)
-    pw = _ad_powers(L)
-    rows = []
-    for i in range(n):
-        block = np.kron(eye, L.pmap[i][None, :])
-        block = (block - np.kron(pw[i], eye[i][None, :])) % p
-        rows.append(block)
-    if not rows:
-        return np.zeros((0, n * n), dtype=np.int64)
-    return np.vstack(rows)
+    pw = L.bracket.ad_power(p - 1)
+    return np.vstack([np.kron(eye, L.pmap[i][None, :]) - np.kron(pw[i], eye[i][None, :])
+                      for i in range(n)]) % p
 
 
 def der(L: Alg) -> Subspace:
     """All derivations, as vectorized matrices in GF(p)^(n*n)."""
-    if "der" not in L._cache:
-        L._cache["der"] = kernel(_leibniz_rows(L), L.p) if L.dim else Subspace.zero(0, L.p)
-    return L._cache["der"]
+    return _cached(L.bracket, "der", lambda: kernel(_leibniz_rows(L), L.p))
 
 
 def der_p(L: Alg) -> Subspace:
@@ -153,22 +129,18 @@ def der_p(L: Alg) -> Subspace:
 
     Imposing restrictedness on a basis suffices; the defect map is additive
     and p-homogeneous (property-tested on arbitrary elements)."""
-    if "der_p" not in L._cache:
+    def compute():
         if L.dim == 0:
-            L._cache["der_p"] = Subspace.zero(0, L.p)
-        else:
-            rows = np.vstack([_leibniz_rows(L), _restricted_rows(L)])
-            L._cache["der_p"] = kernel(rows, L.p)
-    return L._cache["der_p"]
+            return Subspace.zero(0, L.p)
+        return kernel(np.vstack([_leibniz_rows(L), _restricted_rows(L)]), L.p)
+    return _cached(L, "der_p", compute)
 
 
 def inner(L: Alg) -> Subspace:
     """Span of the ad(x_i), vectorized."""
-    if "inner" not in L._cache:
-        n = L.dim
-        L._cache["inner"] = Subspace.from_rows(
-            L.ad_basis.reshape(n, n * n), L.p, n * n)
-    return L._cache["inner"]
+    n = L.dim
+    return _cached(L.bracket, "inner", lambda: Subspace.from_rows(
+        L.ad_basis.reshape(n, n * n), L.p, n * n))
 
 
 def h1_adjoint_dim(L: Alg) -> int:
@@ -278,13 +250,17 @@ def _outer_mask(L: Alg, mats: np.ndarray) -> np.ndarray:
     return ((flat @ ann.T) % L.p).any(axis=1)
 
 
-def _search_square_zero_outer(L: Alg, budget: int) -> Optional[Derivation]:
+def _first_outer(L: Alg, budget: int, squarings: int) -> Optional[Derivation]:
+    """First outer member D of der_p, in scan order, with D^(2^squarings) = 0;
+    None after a complete scan."""
     for mats in _iter_candidates(L, budget):
-        squares = np.matmul(mats, mats) % L.p
-        hits = ~squares.any(axis=(1, 2)) & _outer_mask(L, mats)
+        powers = mats
+        for _ in range(squarings):
+            powers = np.matmul(powers, powers) % L.p
+        hits = ~powers.any(axis=(1, 2)) & _outer_mask(L, mats)
         idx = np.nonzero(hits)[0]
         if idx.size:
-            return _certify_square_zero_outer(L, Derivation(L, mats[int(idx[0])]))
+            return Derivation(L, mats[int(idx[0])])
     return None
 
 
@@ -311,7 +287,8 @@ def find_square_zero_outer(L: Alg, budget: int = DEFAULT_BUDGET) -> Optional[Der
                 return _certify_square_zero_outer(L, d)
     if h1_adjoint_dim(L) == 0:
         return None  # every restricted derivation is inner
-    return _search_square_zero_outer(L, budget)
+    d = _first_outer(L, budget, 1)
+    return _certify_square_zero_outer(L, d) if d is not None else None
 
 
 def find_nilpotent_outer(L: Alg, budget: int = DEFAULT_BUDGET) -> Optional[Derivation]:
@@ -320,18 +297,11 @@ def find_nilpotent_outer(L: Alg, budget: int = DEFAULT_BUDGET) -> Optional[Deriv
     n = L.dim
     if h1_adjoint_dim(L) == 0:
         return None
-    steps = max(1, int(np.ceil(np.log2(n)))) if n > 1 else 0
-    for mats in _iter_candidates(L, budget):
-        powers = mats
-        for _ in range(steps):
-            powers = np.matmul(powers, powers) % L.p
-        hits = ~powers.any(axis=(1, 2)) & _outer_mask(L, mats)
-        idx = np.nonzero(hits)[0]
-        if idx.size:
-            d = Derivation(L, mats[int(idx[0])])
-            assert d.is_restricted and d.is_nilpotent and not d.is_inner
-            return d
-    return None
+    # D^n = 0 for a nilpotent D, and 2^squarings >= n
+    d = _first_outer(L, budget, max(1, int(np.ceil(np.log2(n)))) if n > 1 else 0)
+    if d is not None and not (d.is_restricted and d.is_nilpotent and not d.is_inner):
+        raise CertificationError("nilpotent witness failed certification")
+    return d
 
 
 def explicit_h1_char2_outer(L: Alg) -> Derivation:

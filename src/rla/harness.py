@@ -98,7 +98,7 @@ def _plain(value):
     return value
 
 
-@dataclass
+@dataclass(slots=True)
 class InstanceResult:
     algebra_id: str
     verdict: str
@@ -129,11 +129,20 @@ class TheoremReport:
                 "summary": _plain(self.summary)}
 
     def to_json(self) -> str:
-        # json.dumps with indent joins a list of every small chunk it encodes,
-        # which peaks at several times the text's size; a buffer does not
+        """The bytes of json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        plus a newline, encoded one instance at a time: the dict tree of a
+        whole report is larger than its text."""
+        def enc(value, depth: int) -> str:  # JSON strings escape newlines
+            text = json.dumps(value, sort_keys=True, indent=2)
+            return text.replace("\n", "\n" + "  " * depth)
+
         buf = io.StringIO()
-        json.dump(self.to_dict(), buf, sort_keys=True, indent=2)
-        buf.write("\n")
+        buf.write('{\n  "claim": ' + enc(self.claim, 1) + ',\n  "instances": [')
+        for k, r in enumerate(self.instances):
+            buf.write(("," if k else "") + "\n    " + enc(r.to_dict(), 2))
+        buf.write("\n  ]" if self.instances else "]")
+        buf.write(',\n  "population": ' + enc(_plain(self.population), 1))
+        buf.write(',\n  "summary": ' + enc(_plain(self.summary), 1) + "\n}\n")
         return buf.getvalue()
 
     @classmethod
@@ -262,11 +271,7 @@ def _check_thm33(L: Alg, algebra_id: str, budget: int) -> InstanceResult:
     tag = exception_tag(L)
     inv = _base_invariants(L)
     inv["exceptional"] = tag
-    try:
-        w = find_square_zero_outer(L, budget)
-    except BudgetExceededError as e:
-        return InstanceResult(algebra_id, "budget",
-                              invariants={"needed": e.needed, "budget": e.budget})
+    w = find_square_zero_outer(L, budget)
     witness = w.matrix.tolist() if w is not None else None
     if tag is None:
         verdict = "pass" if w is not None else "fail"
@@ -281,16 +286,8 @@ def _check_cor34(L: Alg, algebra_id: str, budget: int) -> InstanceResult:
     the complete scan of der_p only has to run when no square-zero derivation
     exists, to certify that nothing nilpotent was missed."""
     tag = exception_tag(L)
-    try:
-        sq0_w = find_square_zero_outer(L, budget)
-        if sq0_w is not None:
-            nil_w = sq0_w
-            assert nil_w.is_nilpotent
-        else:
-            nil_w = find_nilpotent_outer(L, budget)
-    except BudgetExceededError as e:
-        return InstanceResult(algebra_id, "budget",
-                              invariants={"needed": e.needed, "budget": e.budget})
+    sq0_w = find_square_zero_outer(L, budget)
+    nil_w = sq0_w if sq0_w is not None else find_nilpotent_outer(L, budget)
     inv = {"dim": L.dim, "exceptional": tag,
            "nilpotent_outer": nil_w is not None,
            "square_zero_outer": sq0_w is not None}
@@ -368,29 +365,14 @@ def _check_prop25(L: Alg, algebra_id: str, budget: int) -> InstanceResult:
     inv = {"dim": L.dim, "exceptional": tag, "free": bool(free),
            "rank": int(rank), "quotient_dim": int(d), "center_dim": int(r),
            "ideal_dim": int(a.dim)}
-    witness = None
+    comp = find_p_complement(L, a, budget) if tag is not None or free else None
     if tag is not None:
         formula = L.dim == d + r * p ** d
         inv["formula_holds"] = formula
-        try:
-            comp = find_p_complement(L, a, budget)
-        except BudgetExceededError as e:
-            return InstanceResult(algebra_id, "budget",
-                                  invariants={"needed": e.needed, "budget": e.budget})
         ok = free and rank == r and formula and comp is not None
-        if comp is not None:
-            witness = comp.basis.tolist()
-    elif free:
-        try:
-            comp = find_p_complement(L, a, budget)
-        except BudgetExceededError as e:
-            return InstanceResult(algebra_id, "budget",
-                                  invariants={"needed": e.needed, "budget": e.budget})
-        ok = comp is not None
-        if comp is not None:
-            witness = comp.basis.tolist()
     else:
-        ok = True
+        ok = not free or comp is not None
+    witness = comp.basis.tolist() if comp is not None else None
     return InstanceResult(algebra_id, "pass" if ok else "fail", witness, inv)
 
 
@@ -484,6 +466,10 @@ def _enumerated_entries(p: int, dim_bound: int) -> Iterator[CatalogEntry]:
 
 def _population(claim: str, p: Optional[int], dim_bound: Optional[int]
                 ) -> Tuple[Iterator[CatalogEntry], Dict[str, object]]:
+    if dim_bound is not None and claim in ("Prop-3.1", "Prop-3.2",
+                                           "Remark-counterexample"):
+        raise PreconditionError(f"{claim} has a fixed population and takes no "
+                                f"dim bound, got dim bound={dim_bound}")
     if claim == "Prop-3.1":
         primes = [p] if p else [2, 3, 5]
         entries = [torus(n, q) for q in primes for n in (1, 2, 3)]
@@ -519,18 +505,27 @@ def _population(claim: str, p: Optional[int], dim_bound: Optional[int]
     return entries, desc
 
 
+def _check(claim: str, L: Alg, algebra_id: str, budget: int) -> InstanceResult:
+    """Run one checker; a search over its budget is a "budget" verdict."""
+    try:
+        return _CHECKERS[claim](L, algebra_id, budget)
+    except BudgetExceededError as e:
+        return InstanceResult(algebra_id, "budget",
+                              invariants={"needed": e.needed, "budget": e.budget})
+
+
 def _instance_job(args) -> Dict[str, object]:
     claim, algebra_id, p, sc, pmap, budget = args
     L = Alg(p, np.array(sc, dtype=np.int64), np.array(pmap, dtype=np.int64),
             validate=False)
-    return _CHECKERS[claim](L, algebra_id, budget).to_dict()
+    return _check(claim, L, algebra_id, budget).to_dict()
 
 
 def _run_instances(claim: str, entries: Iterator[CatalogEntry],
                    config: Config) -> List[InstanceResult]:
     budget = config.search_budget
     if config.workers == 1:
-        return [_CHECKERS[claim](e.algebra, e.name, budget) for e in entries]
+        return [_check(claim, e.algebra, e.name, budget) for e in entries]
     jobs = ((claim, e.name, e.algebra.p, e.algebra.sc.tolist(),
              e.algebra.pmap.tolist(), budget) for e in entries)
     with ProcessPoolExecutor(max_workers=config.workers) as ex:

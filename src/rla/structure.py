@@ -6,28 +6,17 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .algebra import RestrictedLieAlgebra
+from .algebra import RestrictedLieAlgebra, _cached
 from .errors import PreconditionError
 from .linalg import Subspace, kernel, mat_pow
 
 Alg = RestrictedLieAlgebra
 
 
-def _cached(L: Alg, key, fn):
-    if key not in L._cache:
-        L._cache[key] = fn()
-    return L._cache[key]
-
-
 def center(L: Alg) -> Subspace:
     """Joint kernel of all ad(x_i): v is central iff [x_i, v] = 0 for all i."""
-    def compute():
-        n = L.dim
-        if n == 0:
-            return Subspace.zero(0, L.p)
-        stacked = L.ad_basis.reshape(n * n, n)
-        return kernel(stacked, L.p)
-    return _cached(L, "center", compute)
+    n = L.dim
+    return _cached(L.bracket, "center", lambda: kernel(L.ad_basis.reshape(n * n, n), L.p))
 
 
 def centralizer(L: Alg, s: Subspace) -> Subspace:
@@ -49,13 +38,9 @@ def normalizer(L: Alg, s: Subspace) -> Subspace:
 
 
 def derived(L: Alg) -> Subspace:
-    def compute():
-        n = L.dim
-        if n == 0:
-            return Subspace.zero(0, L.p)
-        rows = L.sc.reshape(n * n, n)
-        return Subspace.from_rows(rows, L.p, n)
-    return _cached(L, "derived", compute)
+    n = L.dim
+    return _cached(L.bracket, "derived",
+                   lambda: Subspace.from_rows(L.sc.reshape(n * n, n), L.p, n))
 
 
 def bracket_space(L: Alg, s: Subspace, t: Subspace) -> Subspace:
@@ -79,7 +64,7 @@ def lower_central_series(L: Alg) -> Tuple[Subspace, ...]:
             if nxt.dim == 0:
                 break
         return tuple(series)
-    return _cached(L, "lcs", compute)
+    return _cached(L.bracket, "lcs", compute)
 
 
 def is_nilpotent(L: Alg) -> bool:

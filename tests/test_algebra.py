@@ -221,3 +221,73 @@ def test_bracket_antisymmetry_on_elements(heis3, rng):
         rhs = (-heis3.bracket_vec(b, a)) % 3
         assert np.array_equal(lhs, rhs)
         assert np.array_equal(lhs, brk(heis3, a, b))
+
+
+# -- one shared bracket per table ---------------------------------------------
+
+
+def test_equal_tables_share_bracket_invariants(heis2u, heis2t):
+    again = from_brackets(2, 3, {(0, 1): [0, 0, 1]}, pmap=np.zeros((3, 3), dtype=np.int64))
+    assert heis2u.bracket is heis2t.bracket is again.bracket
+    assert heis2u.sc is heis2u.bracket.sc and heis2u.ad_basis is heis2u.bracket.ad_basis
+    for invariant in (rla.center, rla.der, rla.inner):
+        assert invariant(heis2u) is invariant(heis2t) is invariant(again)
+
+
+def test_twist_keeps_the_bracket(heis3):
+    A = rla.maximal_abelian_p_ideal(heis3)
+    assert twist_pmap(heis3, A).bracket is heis3.bracket
+
+
+def test_pmap_invariants_stay_per_algebra():
+    sc = np.zeros((1, 1, 1), dtype=np.int64)
+    toral = RestrictedLieAlgebra(2, sc, [[1]])
+    unipotent = RestrictedLieAlgebra(2, sc, [[0]])
+    assert toral.bracket is unipotent.bracket
+    assert rla.maximal_torus(toral).dim == 1 and rla.der_p(toral).dim == 0
+    assert rla.maximal_torus(unipotent).dim == 0 and rla.der_p(unipotent).dim == 1
+
+
+def test_invalid_table_raises_on_every_construction():
+    for _ in range(2):
+        with pytest.raises(rla.JacobiError):
+            from_brackets(2, 3, {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]},
+                          pmap=np.zeros((3, 3), dtype=np.int64))
+    sc = np.zeros((2, 2, 2), dtype=np.int64)
+    sc[0, 1] = [0, 1]  # missing the (1, 0) mirror
+    RestrictedLieAlgebra(2, sc, np.zeros((2, 2), dtype=np.int64), validate=False)
+    for _ in range(2):
+        with pytest.raises(rla.AntisymmetryError):
+            RestrictedLieAlgebra(2, sc, np.zeros((2, 2), dtype=np.int64))
+
+
+def test_shared_tables_are_read_only(heis2u):
+    with pytest.raises(ValueError):
+        heis2u.sc[0, 1, 2] = 0
+    with pytest.raises(ValueError):
+        heis2u.ad_basis[0, 2, 1] = 0
+    assert heis2u.sc[0, 1].tolist() == [0, 0, 1]
+
+
+def test_bracket_axioms_checked_once_per_table(monkeypatch):
+    from functools import lru_cache
+
+    from rla import algebra
+
+    checked = []
+    check = algebra.LieBracket._check_axioms
+
+    def counting(self):
+        checked.append(self.sc.tobytes())
+        return check(self)
+
+    monkeypatch.setattr(algebra.LieBracket, "_check_axioms", counting)
+    monkeypatch.setattr(algebra, "_bracket",
+                        lru_cache(maxsize=8)(algebra._bracket.__wrapped__))
+    entries = list(rla.enumerate_nilpotent(2, 3))
+    for e in entries[:20]:
+        quotient(e.algebra, rla.center(e.algebra))
+    tables = {e.algebra.sc.tobytes() for e in entries}
+    assert len(entries) == 520 and len(tables) == 2
+    assert sorted(checked) == sorted(set(checked))
+    assert tables <= set(checked)

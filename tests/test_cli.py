@@ -169,11 +169,18 @@ def test_verify_population_flags(capsys):
     assert "total=18" in out
 
 
-def test_verify_budget_exit(capsys):
+def test_verify_budget_exit(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--claim", "Thm-3.3",
                        "--p", "2", "--dim", "3", "--budget", "4")
     assert code == 3
     assert "budget=8" in out
+    out_json = str(tmp_path / "report.json")
+    code, out, _ = run(capsys, "verify", "--claim", "Prop-3.2", "--budget", "1",
+                       "--out", out_json)
+    assert code == 3
+    assert "budget=8 total=8" in out
+    with open(out_json, encoding="utf-8") as fh:
+        assert TheoremReport.from_json(fh.read()).summary["budget"] == 8
 
 
 def test_verify_workers_env(capsys, monkeypatch):
@@ -193,10 +200,11 @@ def test_verify_unknown_claim(capsys):
 def test_verify_claim_precondition(capsys):
     code, _, err = run(capsys, "verify", "--claim", "Prop-3.2", "--p", "3")
     assert code == 2 and "characteristic 2" in err
-    code, out, err = run(capsys, "verify", "--claim", "Thm-3.3", "--dim", "0")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "dim bound" in err
-    assert "Traceback" not in err
+    for claim in ("Thm-3.3", "Prop-3.1"):
+        code, out, err = run(capsys, "verify", "--claim", claim, "--dim", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "dim bound" in err
+        assert "Traceback" not in err
 
 
 def test_verify_failure_exit(capsys, monkeypatch):

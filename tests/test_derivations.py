@@ -126,6 +126,12 @@ def test_find_nilpotent_outer(heis2u, heis3):
     assert d.is_nilpotent and d.is_restricted and not d.is_inner
 
 
+def test_nilpotent_witness_certified_without_assert(heis3, monkeypatch):
+    monkeypatch.setattr(Derivation, "is_nilpotent", property(lambda self: False))
+    with pytest.raises(rla.CertificationError):
+        rla.find_nilpotent_outer(heis3)
+
+
 def test_budget_is_distinct_from_absence(heis2u):
     with pytest.raises(rla.BudgetExceededError) as exc:
         rla.find_square_zero_outer(heis2u, budget=3)

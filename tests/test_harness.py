@@ -44,6 +44,12 @@ def test_claim_population_guards(monkeypatch):
                             ("Thm-3.3", 3, 4), ("Thm-3.3", 5, 2)):
         with pytest.raises(PreconditionError, match="dim bound"):
             verify_claim(claim, p, bound)
+    # fixed populations take no dim bound at all
+    for claim, p, bound in (("Prop-3.1", 2, 0), ("Prop-3.1", None, 3),
+                            ("Prop-3.2", None, 0), ("Prop-3.2", 2, 3),
+                            ("Remark-counterexample", None, 1)):
+        with pytest.raises(PreconditionError, match="fixed population"):
+            verify_claim(claim, p, bound)
 
 
 def test_main_theorem_small_populations():
@@ -79,6 +85,11 @@ def test_budget_produces_budget_verdicts():
     bud = [r for r in rep.instances if r.verdict == "budget"]
     assert all("-heis-" in r.algebra_id for r in bud)
     assert all(r.invariants["needed"] > r.invariants["budget"] for r in bud)
+    # every checker reports a search over budget the same way
+    rep = verify_claim("Prop-3.2", config=Config(search_budget=1))
+    assert rep.summary["budget"] == 8 and rep.summary["total"] == 8
+    assert all(r.invariants["needed"] > r.invariants["budget"] == 1
+               for r in rep.instances)
 
 
 def test_other_claims_small_populations():
@@ -123,6 +134,15 @@ def test_reports_deterministic_and_round_trip(tmp_path):
     assert back.to_json() == a
     parsed = json.loads(a)
     assert sorted(parsed) == ["claim", "instances", "population", "summary"]
+
+
+def test_to_json_matches_whole_tree_encoding():
+    with_witnesses = verify_claim("Thm-3.3", 2, 2)
+    assert any(r.witness is not None for r in with_witnesses.instances)
+    empty = TheoremReport(claim="Thm-3.3", population={"count": 0},
+                          instances=[], summary=summarize([]))
+    for rep in (with_witnesses, empty):
+        assert rep.to_json() == json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def test_workers_match_serial():
