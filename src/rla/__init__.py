@@ -19,7 +19,7 @@ from .derivations import (Derivation, construct_case_derivation, der, der_p,
                           leibniz_defect, outer_by_centralizer_criterion,
                           restricted_defect)
 from .errors import (AntisymmetryError, BudgetExceededError,
-                     CertificationError, DocumentError, JacobiError,
+                     CertificationError, ConfigError, DocumentError, JacobiError,
                      ModuleValidationError, NotADerivationError,
                      PMapCompatibilityError, PreconditionError, RlaError,
                      ValidationError)

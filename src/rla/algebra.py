@@ -72,6 +72,18 @@ class LieBracket:
             raise JacobiError(i, j, k)
         return True
 
+    def check_pmap(self, images: np.ndarray,
+                   index: Optional[np.ndarray] = None) -> None:
+        """Jacobson's criterion row by row: ad(images[r]) = (ad x_k)^p with
+        k = index[r] (default r). Raises PMapCompatibilityError(k) at the
+        first row that fails."""
+        if index is None:
+            index = np.arange(images.shape[0])
+        lhs = np.einsum("ri,ikj->rkj", images, self.ad_basis) % self.p
+        bad = np.argwhere((lhs != self.ad_power(self.p)[index]).any(axis=(1, 2)))
+        if bad.size:
+            raise PMapCompatibilityError(int(index[bad[0][0]]))
+
     def ad_power(self, e: int) -> np.ndarray:
         """(ad x_i)^e stacked over the basis index i."""
         def compute():
@@ -114,10 +126,7 @@ class RestrictedLieAlgebra:
 
     def validate(self) -> None:
         self.bracket.validate()
-        lhs = np.einsum("ri,ikj->rkj", self.pmap, self.ad_basis) % self.p
-        bad = np.argwhere((lhs != self.bracket.ad_power(self.p)).any(axis=(1, 2)))
-        if bad.size:
-            raise PMapCompatibilityError(int(bad[0][0]))
+        self.bracket.check_pmap(self.pmap)
 
     # -- basic operations ------------------------------------------------
 
@@ -355,6 +364,11 @@ def twist_pmap(L: RestrictedLieAlgebra, A: Subspace) -> RestrictedLieAlgebra:
 # -- JSON document interface -----------------------------------------------
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false decode to bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def from_doc(doc: dict) -> RestrictedLieAlgebra:
     """Build an algebra from the JSON document format. Unknown keys and
     malformed shapes are document errors; axiom violations surface as
@@ -368,7 +382,7 @@ def from_doc(doc: dict) -> RestrictedLieAlgebra:
         if key not in doc:
             raise DocumentError(f"missing key: {key}")
     p, dim = doc["p"], doc["dim"]
-    if not isinstance(p, int) or not isinstance(dim, int) or dim < 0:
+    if not _is_int(p) or not _is_int(dim) or dim < 0:
         raise DocumentError("p and dim must be non-negative integers")
     pmap = doc["pmap"]
     if not isinstance(pmap, list) or len(pmap) != dim or any(
@@ -391,17 +405,17 @@ def from_doc(doc: dict) -> RestrictedLieAlgebra:
         if not isinstance(entry, dict) or set(entry) != _BRACKET_KEYS:
             raise DocumentError("bracket entries must have exactly the keys i, j, v")
         i, j, v = entry["i"], entry["j"], entry["v"]
-        if not isinstance(i, int) or not isinstance(j, int) or not 0 <= i < j < dim:
+        if not _is_int(i) or not _is_int(j) or not 0 <= i < j < dim:
             raise DocumentError(f"bracket indices must satisfy 0 <= i < j < dim, got ({i}, {j})")
         if (i, j) in seen:
             raise DocumentError(f"duplicate bracket entry ({i}, {j})")
         seen.add((i, j))
         if not isinstance(v, list) or len(v) != dim or any(
-                not isinstance(x, int) for x in v):
+                not _is_int(x) for x in v):
             raise DocumentError("bracket value must be an integer vector of length dim")
         sc[i, j] = asmod(v, p)
         sc[j, i] = (-sc[i, j]) % p
-    if any(not isinstance(x, int) for row in pmap for x in row):
+    if any(not _is_int(x) for row in pmap for x in row):
         raise DocumentError("pmap entries must be integers")
     return RestrictedLieAlgebra(p, sc,
                                 asmod(pmap, p).reshape(dim, dim),

@@ -19,7 +19,8 @@ import numpy as np
 
 from .algebra import RestrictedLieAlgebra, direct_product, from_brackets
 from .derivations import h1_adjoint_dim
-from .errors import BudgetExceededError, PreconditionError
+from .errors import (BudgetExceededError, CertificationError,
+                     PreconditionError)
 from .linalg import asmod, check_prime, kernel, mat_pow, rref, solve
 from .structure import (center, derived, is_abelian, is_nilpotent,
                         lower_central_series, maximal_torus)
@@ -221,15 +222,34 @@ def _enumerate_raw(p: int, dim: int) -> Iterator[CatalogEntry]:
         cosets = _pmap_candidates(sc, p)
         if cosets is None:
             continue
-        k = 0
-        for combo in iter_product(*cosets):
-            pmap = np.stack(combo)
-            alg = Alg(p, sc, pmap)
-            assert is_nilpotent(alg)
+        rows = _certified_rows(slug, p, sc, cosets)
+        count = len(cosets[0])
+        # one row index per generator, generator 0 varying slowest
+        picks = iter_product(*(range(i * count, (i + 1) * count)
+                               for i in range(dim)))
+        for k, pick in enumerate(picks):
             yield CatalogEntry(
-                name=f"gf{p}-d{dim}-{slug}-{k:06d}", algebra=alg,
+                name=f"gf{p}-d{dim}-{slug}-{k:06d}",
+                algebra=Alg(p, sc, rows.take(pick, axis=0), validate=False),
                 provenance="enumerated nilpotent restricted structure")
-            k += 1
+
+
+def _certified_rows(slug: str, p: int, sc: np.ndarray,
+                    cosets: List[List[np.ndarray]]) -> np.ndarray:
+    """Every generator's candidate images stacked generator by generator,
+    certified once for the template: the bracket axioms, nilpotency, and
+    Jacobson's criterion on each candidate row. A p-map table is admissible
+    exactly when each of its rows is, so any table picked from these rows is
+    valid."""
+    rows = np.array(cosets, dtype=np.int64)  # (n, count, n)
+    n, count = rows.shape[:2]
+    template = Alg(p, sc, rows[:, 0], validate=False)
+    template.bracket.validate()
+    rows = rows.reshape(n * count, n)
+    template.bracket.check_pmap(rows, np.repeat(np.arange(n), count))
+    if not is_nilpotent(template):
+        raise CertificationError(f"template {slug} is not nilpotent")
+    return rows
 
 
 def _invertible_matrices(n: int, p: int) -> List[np.ndarray]:
@@ -257,7 +277,8 @@ def _dedup(p: int, dim: int) -> Iterator[CatalogEntry]:
     inverses = []
     for g in group:
         aug, npiv = rref(np.hstack([g, np.eye(dim, dtype=np.int64)]), p)
-        assert npiv == dim
+        if npiv != dim:
+            raise CertificationError("group element is not invertible")
         inverses.append(aug[:, dim:])
     seen = set()
     for entry in _enumerate_raw(p, dim):

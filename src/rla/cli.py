@@ -21,8 +21,8 @@ from .cohomology import adjoint_module, b1, z1
 from .config import Config, from_env
 from .derivations import (der, der_p, find_nilpotent_outer,
                           find_square_zero_outer, h1_adjoint_dim, inner)
-from .errors import (BudgetExceededError, CertificationError, DocumentError,
-                     RlaError, ValidationError)
+from .errors import (BudgetExceededError, CertificationError, ConfigError,
+                     DocumentError, RlaError, ValidationError)
 from .harness import CLAIM_DESCRIPTIONS, export_csv, verify_claim
 from .structure import (center, codim1_max_p_ideals, derived, is_abelian,
                         is_nilpotent, is_p_unipotent, maximal_abelian_p_ideal,
@@ -283,7 +283,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("catalog export requires --name")
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, DocumentError) as exc:
+    except (OSError, json.JSONDecodeError, DocumentError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceededError as exc:

@@ -107,7 +107,8 @@ def b1(L: Alg, M: RestrictedModule) -> Subspace:
 
 def h1_dim(L: Alg, M: RestrictedModule) -> int:
     zs, bs = z1(L, M), b1(L, M)
-    assert zs.contains(bs), "coboundaries must be restricted cocycles"
+    if not zs.contains(bs):
+        raise CertificationError("coboundaries must be restricted cocycles")
     return zs.dim - bs.dim
 
 
@@ -133,7 +134,7 @@ def is_free_over_unipotent(N: Alg, M: RestrictedModule) -> Tuple[bool, int]:
     so rad*M is the span of all action images, the minimal generator count is
     dim(M/rad*M), and M is free exactly when dim M = rank * p^dim(N). When
     free, the invariants have dimension equal to the rank (socle count),
-    which is asserted."""
+    which is certified."""
     if not is_p_unipotent(N):
         raise PreconditionError("freeness criterion requires a p-unipotent algebra")
     m, p = M.mdim, N.p
@@ -144,8 +145,8 @@ def is_free_over_unipotent(N: Alg, M: RestrictedModule) -> Tuple[bool, int]:
         rad = Subspace.zero(m, p)
     rank = m - rad.dim
     free = m == rank * p ** N.dim
-    if free:
-        assert invariants(N, M).dim == rank
+    if free and invariants(N, M).dim != rank:
+        raise CertificationError("socle count of a free module differs from its rank")
     return free, rank
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-from .errors import PreconditionError
+from .errors import ConfigError, PreconditionError
 from .linalg import DEFAULT_BUDGET
 
 
@@ -22,14 +22,20 @@ class Config:
             raise PreconditionError("worker count must be at least 1")
 
 
+_ENV_FIELDS = (("RLA_BUDGET", "search_budget"), ("RLA_WORKERS", "workers"))
+
+
 def from_env(base: Config = Config()) -> Config:
     """Apply RLA_BUDGET and RLA_WORKERS overrides; explicit flags should be
-    applied by the caller afterwards so that flags win over the environment."""
+    applied by the caller afterwards so that flags win over the environment.
+    A value that is not a valid setting raises ConfigError."""
     cfg = base
-    budget = os.environ.get("RLA_BUDGET")
-    if budget is not None:
-        cfg = replace(cfg, search_budget=int(budget))
-    workers = os.environ.get("RLA_WORKERS")
-    if workers is not None:
-        cfg = replace(cfg, workers=int(workers))
+    for var, name in _ENV_FIELDS:
+        text = os.environ.get(var)
+        if text is None:
+            continue
+        try:
+            cfg = replace(cfg, **{name: int(text)})
+        except (ValueError, PreconditionError) as exc:
+            raise ConfigError(f"{var}={text!r}: {exc}") from exc
     return cfg

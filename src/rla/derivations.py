@@ -145,7 +145,8 @@ def inner(L: Alg) -> Subspace:
 
 def h1_adjoint_dim(L: Alg) -> int:
     dp, inn = der_p(L), inner(L)
-    assert dp.contains(inn), "inner derivations must be restricted"
+    if not dp.contains(inn):
+        raise CertificationError("inner derivations must be restricted")
     return dp.dim - inn.dim
 
 
@@ -189,7 +190,8 @@ def construct_case_derivation(L: Alg, ideal: Subspace, x, z) -> Derivation:
     d = Derivation(L, matrix)  # raises if the Leibniz rule fails
     if not d.is_restricted:
         raise CertificationError("case derivation is not restricted: hypothesis violation")
-    assert d.is_square_zero  # z lies in the ideal, so D(z) = 0
+    if not d.is_square_zero:  # z lies in the ideal, so D(z) = 0
+        raise CertificationError("case derivation is not square-zero")
     return d
 
 
@@ -313,7 +315,8 @@ def explicit_h1_char2_outer(L: Alg) -> Derivation:
     if not is_nilpotent(L) or is_abelian(L):
         raise PreconditionError("explicit witness requires a nilpotent non-abelian algebra")
     zen = center(L)
-    assert zen.dim == 1
+    if zen.dim != 1:
+        raise CertificationError("explicit witness needs a one-dimensional center")
     n = L.dim
     eye = np.eye(n, dtype=np.int64)
     proj = np.zeros((n, n), dtype=np.int64)
@@ -325,5 +328,6 @@ def explicit_h1_char2_outer(L: Alg) -> Derivation:
         raise CertificationError("explicit witness is not restricted")
     if d.is_inner:
         raise CertificationError("explicit witness is inner")
-    assert np.array_equal((d.matrix @ d.matrix) % 2, d.matrix)  # D^2 = D
+    if not np.array_equal((d.matrix @ d.matrix) % 2, d.matrix):
+        raise CertificationError("explicit witness is not idempotent")
     return d

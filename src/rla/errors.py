@@ -58,3 +58,7 @@ class CertificationError(RlaError):
 
 class DocumentError(RlaError):
     """A JSON algebra document is malformed."""
+
+
+class ConfigError(RlaError):
+    """An environment override is not a valid setting."""

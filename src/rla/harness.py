@@ -25,7 +25,7 @@ from .config import Config
 from .derivations import (_iter_candidates, der_p, explicit_h1_char2_outer,
                           find_nilpotent_outer, find_square_zero_outer,
                           h1_adjoint_dim, inner)
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, CertificationError, PreconditionError
 from .linalg import Subspace, enumerate_subspaces, mat_pow
 from .structure import (center, centralizer, is_abelian, is_nilpotent,
                         maximal_abelian_p_ideal, maximal_torus)
@@ -342,7 +342,8 @@ def _check_prop24(L: Alg, algebra_id: str, budget: int) -> InstanceResult:
                 ok = False
             if not (a.contains(zen) and zen.dim < a.dim):
                 ok = False
-    assert greedy_seen, "greedy maximal abelian p-ideal missing from the scan"
+    if not greedy_seen:
+        raise CertificationError("greedy maximal abelian p-ideal missing from the scan")
     inv = {"dim": L.dim, "maximal_abelian_p_ideal_count": count,
            "maximal_abelian_p_ideal_dims": sorted(set(dims)),
            "center_dim": int(zen.dim)}
@@ -407,7 +408,8 @@ def _check_prop32(L: Alg, algebra_id: str, budget: int) -> InstanceResult:
     if L.p != 2 or L.dim != 3 or is_abelian(L) or not is_nilpotent(L):
         raise PreconditionError("checker requires char-2 dim-3 non-abelian nilpotent input")
     zen = center(L)
-    assert zen.dim == 1
+    if zen.dim != 1:
+        raise CertificationError("center is not one-dimensional")
     z = zen.basis[0]
     inn = inner(L)
     span_xz = Subspace.from_rows(np.stack([np.eye(3, dtype=np.int64)[0], z]), 2, 3)

@@ -7,7 +7,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .algebra import RestrictedLieAlgebra, _cached
-from .errors import PreconditionError
+from .errors import CertificationError, PreconditionError
 from .linalg import Subspace, kernel, mat_pow
 
 Alg = RestrictedLieAlgebra
@@ -176,10 +176,12 @@ def maximal_abelian_p_ideal(L: Alg) -> Subspace:
             if x is None:
                 # a nonzero ideal of a nilpotent algebra meets the center of
                 # the quotient, so a valid extension always exists here
-                raise AssertionError("greedy extension exhausted before self-centralizing")
+                raise CertificationError(
+                    "greedy extension exhausted before self-centralizing")
             ext = Subspace.from_rows(np.vstack([a.basis, x[None, :]]), p, n)
             a = p_closure(L, ext)
-            assert is_abelian_subspace(L, a) and is_p_ideal(L, a)
+            if not (is_abelian_subspace(L, a) and is_p_ideal(L, a)):
+                raise CertificationError("greedy extension is not an abelian p-ideal")
     return _cached(L, "max_abelian_p_ideal", compute)
 
 
@@ -196,7 +198,9 @@ def codim1_max_p_ideals(L: Alg) -> List[Subspace]:
         raise PreconditionError("codim1_max_p_ideals requires a non-toral algebra")
     rows = np.vstack([derived(L).basis, torus.basis, L.pmap])
     phi = Subspace.from_rows(rows, p, n)
-    assert phi.dim < n, "no proper ideal candidate: contradicts codimension-one maximality"
+    if phi.dim == n:
+        raise CertificationError(
+            "no proper ideal candidate: contradicts codimension-one maximality")
     ann = phi.annihilator()
     out = []
     seen = set()

@@ -59,6 +59,32 @@ def is_restricted_brute(L, m):
     return True
 
 
+def jacobson_brute(L, pmap):
+    """ad(pmap[i]) = (ad x_i)^p for every basis index i, by integer matrix
+    powers: the p-map table pmap is admissible on L's bracket."""
+    eye = np.eye(L.dim, dtype=np.int64)
+    return all(np.array_equal(
+        ad_of(L, pmap[i]),
+        np.linalg.matrix_power(ad_of(L, eye[i]), L.p) % L.p)
+        for i in range(L.dim))
+
+
+def brute_admissible_pmaps(L):
+    """Every admissible p-map table on L's bracket, rows in lexicographic
+    order (row 0 varying slowest)."""
+    return [m for m in all_matrices(L.dim, L.p) if jacobson_brute(L, m)]
+
+
+def is_nilpotent_brute(L):
+    """Iterated brackets with the whole basis vanish within dim steps."""
+    eye = np.eye(L.dim, dtype=np.int64)
+    span = {tuple(v) for v in eye}
+    for _ in range(L.dim):
+        span = {tuple(brk(L, a, np.array(b))) for a in eye for b in span}
+        span.discard((0,) * L.dim)
+    return not span
+
+
 def brute_derivations(L):
     return [m for m in all_matrices(L.dim, L.p) if is_derivation_brute(L, m)]
 

@@ -195,6 +195,29 @@ def test_doc_rejects_malformed(heis2u):
         from_doc(bad)
 
 
+def _with_bool(doc, field):
+    doc = json.loads(json.dumps(doc))
+    entry = doc["brackets"][0]
+    if field in ("p", "dim"):
+        doc[field] = True
+    elif field == "i":
+        entry["i"] = False
+    elif field == "j":
+        entry["j"] = True
+    elif field == "v":
+        entry["v"][2] = True
+    else:
+        doc["pmap"][2][2] = True
+    return doc
+
+
+@pytest.mark.parametrize("field", ["p", "dim", "i", "j", "v", "pmap"])
+def test_doc_rejects_booleans(heis2u, field):
+    # JSON true/false decode to bool, which Python counts as an int
+    with pytest.raises(rla.DocumentError):
+        from_doc(_with_bool(to_doc(heis2u), field))
+
+
 def test_element_wrapper(heis2u):
     x = heis2u.element([1, 0, 0])
     y = heis2u.element([0, 1, 0])

@@ -8,7 +8,9 @@ import pytest
 
 import rla
 from rla import (BudgetExceededError, PMapCompatibilityError,
-                 PreconditionError, enumerate_nilpotent, fingerprint)
+                 PreconditionError, catalog, enumerate_nilpotent, fingerprint)
+
+from conftest import brute_admissible_pmaps, is_nilpotent_brute, jacobson_brute
 
 
 def small_gl(n, p):
@@ -157,8 +159,60 @@ def test_dedup_dim1():
     assert len(list(enumerate_nilpotent(3, 1, dedup=True))) == 3
 
 
+def _by_template(entries):
+    """Enumerated entries grouped by template slug, in enumeration order."""
+    groups = {}
+    for e in entries:
+        groups.setdefault(e.name.rsplit("-", 1)[0], []).append(e)
+    return groups
+
+
+_ORACLE_TEMPLATES = [
+    (2, 1, "abelian"), (2, 2, "abelian"), (2, 3, "abelian"), (2, 3, "heis"),
+    (3, 1, "abelian"), (3, 2, "abelian"), (3, 3, "abelian"), (3, 3, "heis"),
+    (2, 4, "heisline")]
+
+
 def test_enumerated_algebras_are_valid_and_nilpotent():
-    for e in itertools.islice(enumerate_nilpotent(2, 3), 40):
-        L = e.algebra
-        rla.RestrictedLieAlgebra(L.p, L.sc, L.pmap)  # revalidates
-        assert rla.is_nilpotent(L)
+    """Every table of each template passes the oracle, and the listing is the
+    brute-force list of admissible tables on its bracket, in order."""
+    for p, dim, slug in _ORACLE_TEMPLATES:
+        entries = _by_template(enumerate_nilpotent(p, dim))[f"gf{p}-d{dim}-{slug}"]
+        first = entries[0].algebra
+        assert is_nilpotent_brute(first)
+        for e in entries:
+            L = e.algebra
+            assert np.array_equal(L.sc, first.sc)
+            assert jacobson_brute(L, L.pmap), e.name
+        listed = [e.algebra.pmap for e in entries]
+        brute = brute_admissible_pmaps(first)
+        assert len(listed) == len(brute), (p, dim, slug)
+        assert all(np.array_equal(a, b) for a, b in zip(listed, brute))
+
+
+def test_enumeration_templates_in_order():
+    for p, dim, slugs in ((2, 3, ["abelian", "heis"]),
+                          (3, 3, ["abelian", "heis"])):
+        assert list(_by_template(enumerate_nilpotent(p, dim))) == [
+            f"gf{p}-d{dim}-{slug}" for slug in slugs]
+
+
+def test_incompatible_candidate_raises_before_its_template(monkeypatch):
+    """A planted non-admissible image for z in the Heisenberg template is
+    caught once per template, before any of its tables is yielded."""
+    real = catalog._pmap_candidates
+
+    def planted(sc, p):
+        cosets = real(sc, p)
+        if sc.any():
+            cosets[-1][-1] = np.array([1, 0, 0], dtype=np.int64)
+        return cosets
+
+    monkeypatch.setattr(catalog, "_pmap_candidates", planted)
+    seen = []
+    with pytest.raises(PMapCompatibilityError) as info:
+        for e in enumerate_nilpotent(2, 3):
+            seen.append(e.name)
+    assert info.value.i == 2
+    assert len(seen) == 512
+    assert not any("-heis-" in name for name in seen)

@@ -59,6 +59,13 @@ def test_check_bad_input(capsys, tmp_path):
     assert code == 1
 
 
+def test_check_rejects_boolean_entries(capsys, tmp_path):
+    for doc in ({"p": 2, "dim": True, "pmap": [[0]]},
+                {"p": 2, "dim": 1, "pmap": [[True]]}):
+        code, out, err = run(capsys, "check", write_doc(tmp_path, doc))
+        assert code == 1 and err.startswith("error:") and out == ""
+
+
 def test_inspect_json(capsys, heis_file):
     code, out, _ = run(capsys, "inspect", heis_file, "--json")
     assert code == 0
@@ -133,6 +140,17 @@ def test_budget_env_and_flag(capsys, monkeypatch, heis_file):
     code, out, _ = run(capsys, "derivations", heis_file, "--square-zero",
                        "--budget", "65536")
     assert code == 0 and "none (complete search)" in out
+
+
+@pytest.mark.parametrize("var, value", [("RLA_BUDGET", "abc"),
+                                        ("RLA_WORKERS", "two"),
+                                        ("RLA_WORKERS", "0")])
+def test_bad_env_override_is_input_error(capsys, monkeypatch, var, value):
+    monkeypatch.setenv(var, value)
+    code, out, err = run(capsys, "verify", "--claim", "Prop-3.1")
+    assert code == 1
+    assert err.startswith("error:") and var in err
+    assert out == ""
 
 
 def test_h1(capsys, heis_file):

@@ -132,6 +132,14 @@ def test_nilpotent_witness_certified_without_assert(heis3, monkeypatch):
         rla.find_nilpotent_outer(heis3)
 
 
+def test_inner_in_der_p_certified_without_assert(heis2u, monkeypatch):
+    # a planted inner space outside der_p must fail certification
+    full = rla.Subspace.full(9, 2)
+    monkeypatch.setattr(rla.derivations, "inner", lambda L: full)
+    with pytest.raises(rla.CertificationError):
+        rla.h1_adjoint_dim(heis2u)
+
+
 def test_budget_is_distinct_from_absence(heis2u):
     with pytest.raises(rla.BudgetExceededError) as exc:
         rla.find_square_zero_outer(heis2u, budget=3)

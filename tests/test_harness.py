@@ -1,6 +1,9 @@
 """Claim populations, per-instance verdicts, and report serialization."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -92,6 +95,13 @@ def test_budget_produces_budget_verdicts():
                for r in rep.instances)
 
 
+def test_prop24_scan_certified_without_assert(monkeypatch):
+    # a greedy ideal that the scan cannot meet (the center is not maximal)
+    monkeypatch.setattr(rla.harness, "maximal_abelian_p_ideal", rla.center)
+    with pytest.raises(rla.CertificationError):
+        verify_claim("Prop-2.4", 2, 3)
+
+
 def test_other_claims_small_populations():
     assert verify_claim("Cor-3.4", 2, 3).summary == {
         "pass": 354, "fail": 0, "exception": 184, "budget": 0, "total": 538}
@@ -149,6 +159,27 @@ def test_workers_match_serial():
     serial = verify_claim("Thm-3.3", 3, 2, config=Config(workers=1))
     par = verify_claim("Thm-3.3", 3, 2, config=Config(workers=2))
     assert serial.to_dict() == par.to_dict()
+
+
+_OPTIMIZED_RUNS = [("Thm-3.3", 3, 2), ("Prop-2.4", 2, 3),
+                   ("Prop-2.5-dimformula", 3, 2)]
+
+
+def test_reports_identical_under_python_O():
+    """python -O strips assert statements, so every certification must be an
+    explicit check: the reports are the same bytes with and without -O."""
+    script = ("import json, sys, rla\n"
+              "if __debug__: sys.exit('assert statements are live')\n"
+              f"runs = {_OPTIMIZED_RUNS!r}\n"
+              "json.dump([rla.verify_claim(*r).to_json() for r in runs], sys.stdout)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rla.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    optimized = json.loads(proc.stdout)
+    assert optimized == [verify_claim(*r).to_json() for r in _OPTIMIZED_RUNS]
 
 
 def test_export_csv():
