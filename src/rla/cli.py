@@ -43,6 +43,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --budget and --workers: below 1 is a usage error."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _load_algebra(path: str) -> RestrictedLieAlgebra:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -243,7 +250,7 @@ def build_parser() -> _Parser:
     p_der.add_argument("--outer", action="store_true")
     p_der.add_argument("--square-zero", dest="square_zero", action="store_true")
     p_der.add_argument("--nilpotent", action="store_true")
-    p_der.add_argument("--budget", type=int)
+    p_der.add_argument("--budget", type=_positive_int)
     p_der.set_defaults(func=cmd_derivations)
 
     p_h1 = sub.add_parser("h1", help="restricted cocycle/coboundary dimensions on the adjoint module")
@@ -256,8 +263,8 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--dim", type=int)
     p_verify.add_argument("--out")
     p_verify.add_argument("--csv")
-    p_verify.add_argument("--budget", type=int)
-    p_verify.add_argument("--workers", type=int)
+    p_verify.add_argument("--budget", type=_positive_int)
+    p_verify.add_argument("--workers", type=_positive_int)
     p_verify.set_defaults(func=cmd_verify)
 
     p_enum = sub.add_parser("enumerate", help="enumerate nilpotent restricted structures")

@@ -1,9 +1,9 @@
 """Restricted modules and degree-one restricted cohomology.
 
 Cochains N -> M are m x d matrices (column t = value on the t-th basis vector
-of N), vectorized row-major into GF(p)^(m*d). On the adjoint module the
-cocycle space coincides with der_p and the coboundary space with inner, which
-tests assert exactly.
+of N), vectorized row-major into GF(p)^(m*d). z1 and b1 use the cocycle row
+builder and the coboundary construction of derivations, so on the adjoint
+module they are der_p and inner by construction.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .algebra import Quotient, RestrictedLieAlgebra, quotient, twist_pmap
-from .derivations import Derivation
+from .derivations import Derivation, _coboundaries, _cocycle_rows
 from .errors import (BudgetExceededError, CertificationError,
                      ModuleValidationError, PreconditionError)
 from .linalg import DEFAULT_BUDGET, Subspace, asmod, complements, kernel, mat_pow
@@ -43,8 +43,6 @@ class RestrictedModule:
 
     def action(self, v) -> np.ndarray:
         v = asmod(v, self.algebra.p)
-        if self.algebra.dim == 0:
-            return np.zeros((self.mdim, self.mdim), dtype=np.int64)
         return np.einsum("i,imk->mk", v, self.rho) % self.algebra.p
 
     def _validate(self) -> None:
@@ -77,32 +75,15 @@ def z1(L: Alg, M: RestrictedModule) -> Subspace:
     C(x_i^[p]) = x_i^(p-1).C(x_i), as vectorized m x d matrices."""
     if M.algebra is not L and not M.algebra.table_equal(L):
         raise ValueError("module does not belong to the acting algebra")
-    d, m, p = L.dim, M.mdim, L.p
-    if d == 0 or m == 0:
-        return Subspace.zero(m * d, p)
-    eye_m = np.eye(m, dtype=np.int64)
-    eye_d = np.eye(d, dtype=np.int64)
-    rows = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            block = np.kron(eye_m, L.sc[i, j][None, :])
-            block = (block - np.kron(M.rho[i], eye_d[j][None, :])) % p
-            block = (block + np.kron(M.rho[j], eye_d[i][None, :])) % p
-            rows.append(block)
-    for i in range(d):
-        block = np.kron(eye_m, L.pmap[i][None, :])
-        block = (block - np.kron(mat_pow(M.rho[i], p - 1, p), eye_d[i][None, :])) % p
-        rows.append(block)
-    return kernel(np.vstack(rows), p)
+    rho_pow = np.array([mat_pow(r, L.p - 1, L.p) for r in M.rho],
+                       dtype=np.int64).reshape(M.rho.shape)
+    return kernel(_cocycle_rows(L.p, M.rho, sc=L.sc, pmap=L.pmap,
+                                rho_pow=rho_pow), L.p)
 
 
 def b1(L: Alg, M: RestrictedModule) -> Subspace:
     """Coboundaries x -> x.m, one generator per module basis vector."""
-    d, m, p = L.dim, M.mdim, L.p
-    rows = np.zeros((m, m * d), dtype=np.int64)
-    for k in range(m):
-        rows[k] = M.rho[:, :, k].T.reshape(-1)
-    return Subspace.from_rows(rows, p, m * d)
+    return _coboundaries(L.p, M.rho)
 
 
 def h1_dim(L: Alg, M: RestrictedModule) -> int:

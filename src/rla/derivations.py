@@ -1,12 +1,16 @@
 """Restricted derivations: solution spaces, inner parts, and witness searches.
 
-Derivation matrices act on coordinate columns (column j = image of x_j) and
-are vectorized row-major, so the solution spaces of the Leibniz and
-restrictedness systems live in GF(p)^(n*n).
+A restricted derivation is a restricted 1-cocycle of the adjoint module and
+an inner one is a coboundary (Hochschild, 1954). So the one row builder for
+restricted cocycles and the one coboundary construction live here: der,
+der_p and inner apply them to the adjoint module, cohomology.z1 and b1 to any
+module. Derivation matrices act on coordinate columns (column j = image of
+x_j) and are vectorized row-major, in GF(p)^(n*n).
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterator, Optional
 
 import numpy as np
@@ -93,54 +97,66 @@ class Derivation:
 # -- solution spaces --------------------------------------------------------
 
 
-def _leibniz_rows(L: Alg) -> np.ndarray:
-    def compute():
-        n, p = L.dim, L.p
-        eye = np.eye(n, dtype=np.int64)
-        rows = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                block = np.kron(eye, L.sc[i, j][None, :])
-                block = (block + np.kron(L.ad_basis[j], eye[i][None, :])) % p
-                block = (block - np.kron(L.ad_basis[i], eye[j][None, :])) % p
-                rows.append(block)
-        if not rows:
-            return np.zeros((0, n * n), dtype=np.int64)
-        return np.vstack(rows)
-    return _cached(L.bracket, "leibniz_rows", compute)
+def _cocycle_rows(p: int, rho: np.ndarray, sc: Optional[np.ndarray] = None,
+                  pmap: Optional[np.ndarray] = None,
+                  rho_pow: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows of the restricted 1-cocycle system of C: L -> M (an m x d matrix,
+    row-major), where rho[i] is the action of x_i on M: given L's sc, the pair
+    rows C[x_i,x_j] = x_i.C(x_j) - x_j.C(x_i) for i < j; then, given L's pmap
+    and rho_pow[i] = rho[i]^(p-1), the rows C(x_i^[p]) = x_i^(p-1).C(x_i).
+    One (m, m, d) block per equation: output coordinate, then C[b, t]."""
+    d, m = rho.shape[0], rho.shape[1]
+    pairs = list(combinations(range(d), 2)) if sc is not None else []
+    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    k = np.arange(d if pmap is not None else 0)
+    rows = np.zeros((i.size + k.size, m, m, d), dtype=np.int64)
+    pair, restricted = rows[:i.size], rows[i.size:]
+    eye = np.eye(m, dtype=np.int64)[:, :, None]
+    if sc is not None:
+        pair[...] = eye * sc[i, j][:, None, None, :]
+        pair[np.arange(i.size), :, :, j] -= rho[i]
+        pair[np.arange(i.size), :, :, i] += rho[j]
+    if pmap is not None:
+        restricted[...] = eye * pmap[:, None, None, :]
+        restricted[k, :, :, k] -= rho_pow
+    return (rows % p).reshape(rows.shape[0] * m, m * d)
 
 
-def _restricted_rows(L: Alg) -> np.ndarray:
-    """D(x_i^[p]) = (ad x_i)^(p-1)(D x_i) for each i; requires dim >= 1."""
-    n, p = L.dim, L.p
-    eye = np.eye(n, dtype=np.int64)
-    pw = L.bracket.ad_power(p - 1)
-    return np.vstack([np.kron(eye, L.pmap[i][None, :]) - np.kron(pw[i], eye[i][None, :])
-                      for i in range(n)]) % p
+def _coboundaries(p: int, rho: np.ndarray) -> Subspace:
+    """Coboundaries x -> x.v of the module with action matrices rho: the
+    generator for the module basis vector e_k is the m x d matrix whose
+    column t is x_t.e_k."""
+    d, m = rho.shape[0], rho.shape[1]
+    return Subspace.from_rows(rho.transpose(2, 1, 0).reshape(m, m * d), p, m * d)
+
+
+def _pair_rows(L: Alg) -> np.ndarray:
+    return _cached(L.bracket, "pair_rows",
+                   lambda: _cocycle_rows(L.p, L.ad_basis, sc=L.sc))
 
 
 def der(L: Alg) -> Subspace:
-    """All derivations, as vectorized matrices in GF(p)^(n*n)."""
-    return _cached(L.bracket, "der", lambda: kernel(_leibniz_rows(L), L.p))
+    """All derivations: the 1-cocycles of the adjoint module, as vectorized
+    matrices in GF(p)^(n*n)."""
+    return _cached(L.bracket, "der", lambda: kernel(_pair_rows(L), L.p))
 
 
 def der_p(L: Alg) -> Subspace:
-    """Restricted derivations: Leibniz plus D(x_i^[p]) = (ad x_i)^(p-1)(D x_i).
+    """Restricted derivations: the restricted 1-cocycles of the adjoint
+    module, Leibniz plus D(x_i^[p]) = (ad x_i)^(p-1)(D x_i).
 
     Imposing restrictedness on a basis suffices; the defect map is additive
     and p-homogeneous (property-tested on arbitrary elements)."""
-    def compute():
-        if L.dim == 0:
-            return Subspace.zero(0, L.p)
-        return kernel(np.vstack([_leibniz_rows(L), _restricted_rows(L)]), L.p)
-    return _cached(L, "der_p", compute)
+    return _cached(L, "der_p", lambda: kernel(np.vstack([
+        _pair_rows(L),
+        _cocycle_rows(L.p, L.ad_basis, pmap=L.pmap,
+                      rho_pow=L.bracket.ad_power(L.p - 1))]), L.p))
 
 
 def inner(L: Alg) -> Subspace:
-    """Span of the ad(x_i), vectorized."""
-    n = L.dim
-    return _cached(L.bracket, "inner", lambda: Subspace.from_rows(
-        L.ad_basis.reshape(n, n * n), L.p, n * n))
+    """Span of the ad(x_i), vectorized: the coboundaries of the adjoint
+    module, whose generators are the -ad(x_k)."""
+    return _cached(L.bracket, "inner", lambda: _coboundaries(L.p, L.ad_basis))
 
 
 def h1_adjoint_dim(L: Alg) -> int:
@@ -235,13 +251,8 @@ def _iter_candidates(L: Alg, budget: int) -> Iterator[np.ndarray]:
     count = L.p ** space.dim
     if count > budget:
         raise BudgetExceededError(count, budget)
-    n = L.dim
     for block in coeff_blocks(space.dim, L.p):
-        if space.dim:
-            mats = (block @ space.basis) % L.p
-        else:
-            mats = np.zeros((block.shape[0], n * n), dtype=np.int64)
-        yield mats.reshape(-1, n, n)
+        yield ((block @ space.basis) % L.p).reshape(-1, L.dim, L.dim)
 
 
 def _outer_mask(L: Alg, mats: np.ndarray) -> np.ndarray:

@@ -93,6 +93,41 @@ def brute_restricted_derivations(L):
     return [m for m in brute_derivations(L) if is_restricted_brute(L, m)]
 
 
+def _all_cochains(L, m):
+    """Every m x d matrix over GF(p), d = dim L, stacked."""
+    flat = list(itertools.product(range(L.p), repeat=m * L.dim))
+    return np.array(flat, dtype=np.int64).reshape(len(flat), m, L.dim)
+
+
+def brute_cocycles(L, rho):
+    """Every restricted 1-cocycle C: L -> M of the module with action matrices
+    rho, by enumeration: C[x_i,x_j] = x_i.C(x_j) - x_j.C(x_i) for all pairs
+    and C(x_i^[p]) = x_i^(p-1).C(x_i) by integer matrix powers. A set of
+    row-major tuples."""
+    p, d = L.p, L.dim
+    cs = _all_cochains(L, rho.shape[1])
+    ok = np.ones(len(cs), dtype=bool)
+    for i in range(d):
+        for j in range(d):
+            lhs = cs @ L.sc[i, j]
+            rhs = cs[:, :, j] @ rho[i].T - cs[:, :, i] @ rho[j].T
+            ok &= ((lhs - rhs) % p == 0).all(axis=1)
+        power = np.linalg.matrix_power(rho[i], p - 1)
+        ok &= ((cs @ L.pmap[i] - cs[:, :, i] @ power.T) % p == 0).all(axis=1)
+    return {tuple(int(x) for x in c.reshape(-1)) for c in cs[ok]}
+
+
+def brute_coboundaries(L, rho):
+    """Every coboundary x -> x.v, v running over the module: column t of its
+    matrix is rho[t] @ v. A set of row-major tuples."""
+    out = set()
+    for v in all_vectors(rho.shape[1], L.p):
+        c = np.array([rho[t] @ v for t in range(L.dim)],
+                     dtype=np.int64).reshape(L.dim, rho.shape[1]).T % L.p
+        out.add(tuple(int(x) for x in c.reshape(-1)))
+    return out
+
+
 def subspace_vectors(s):
     """All vectors of a Subspace, via coefficient enumeration of its basis."""
     out = []

@@ -233,7 +233,17 @@ def test_zero_dim_algebra_legal():
                              np.zeros((0, 0), dtype=np.int64))
     assert L.dim == 0
     assert rla.center(L).dim == 0
-    assert rla.der_p(L).dim == 0
+    zero = Subspace.zero(0, 2)
+    for space in (rla.der(L), rla.der_p(L), rla.inner(L)):
+        assert space == zero
+    assert rla.h1_adjoint_dim(L) == 0
+    m = rla.adjoint_module(L)
+    assert rla.z1(L, m) == zero and rla.b1(L, m) == zero
+    # a module of dimension 0 over a nonzero algebra
+    T = rla.torus(2, 3).algebra
+    m0 = rla.trivial_module(T, 0)
+    assert rla.z1(T, m0) == Subspace.zero(0, 3) == rla.b1(T, m0)
+    assert rla.h1_dim(T, m0) == 0
 
 
 def test_bracket_antisymmetry_on_elements(heis3, rng):

@@ -153,6 +153,20 @@ def test_bad_env_override_is_input_error(capsys, monkeypatch, var, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--claim", "Prop-3.1", "--budget", "0"),
+    ("verify", "--claim", "Prop-3.1", "--budget", "-3"),
+    ("verify", "--claim", "Prop-3.1", "--workers", "0"),
+    ("derivations", "HEIS", "--budget", "0")])
+def test_non_positive_flag_is_usage_error(capsys, heis_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([heis_file if a == "HEIS" else a for a in argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1
+    assert "error:" in err and "positive integer" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_h1(capsys, heis_file):
     code, out, _ = run(capsys, "h1", heis_file)
     assert code == 0

@@ -6,7 +6,8 @@ import pytest
 import rla
 from rla import (BudgetExceededError, Cochain, ModuleValidationError,
                  PreconditionError, RestrictedModule, Subspace)
-from conftest import all_vectors, subspace_vectors
+from conftest import (all_vectors, brute_coboundaries, brute_cocycles,
+                      subspace_vectors)
 
 
 def jordan_action(p, sizes):
@@ -83,6 +84,32 @@ def test_trivial_module_cocycles_brute(heis2u, heis2t):
         assert subspace_vectors(zs) == want
         assert zs.dim == expect
         assert rla.b1(L, rla.trivial_module(L)).dim == 0
+
+
+def _oracle_modules(heis2u, heis2t, heis3):
+    """(algebra, module) pairs: trivial of dims 1 and 2, adjoint, and the
+    modules induced on the quotients of the Heisenberg algebras."""
+    algebras = (heis2u, heis2t, heis3, rla.torus(2, 3).algebra,
+                rla.two_dim_nonabelian(3).algebra,
+                rla.final_remark_algebra(2).algebra, rla.one_dim_nil(5).algebra)
+    for L in algebras:
+        yield L, rla.trivial_module(L, 1)
+        yield L, rla.trivial_module(L, 2)
+        yield L, rla.adjoint_module(L)
+    for L in (heis2u, heis3):
+        a = rla.maximal_abelian_p_ideal(L)
+        qa = rla.quotient(L, a)
+        for w in (a, rla.centralizer(L, a)):
+            yield qa.algebra, rla.induced_module(L, qa, w)
+        qz = rla.quotient(L, rla.center(L))
+        yield qz.algebra, rla.induced_module(L, qz, Subspace.full(L.dim, L.p))
+
+
+def test_cocycles_and_coboundaries_match_brute_force(heis2u, heis2t, heis3):
+    for L, m in _oracle_modules(heis2u, heis2t, heis3):
+        zs, bs = rla.z1(L, m), rla.b1(L, m)
+        assert subspace_vectors(zs) == brute_cocycles(L, m.rho)
+        assert subspace_vectors(bs) == brute_coboundaries(L, m.rho)
 
 
 def test_invariants_of_adjoint_equal_center(heis2u, heis2t, heis3):

@@ -34,6 +34,15 @@ def test_der_matches_brute_force(heis2u, heis2t):
         assert len(brute_p) == 2 ** expect_der_p
         assert rla.der_p(L).dim == expect_der_p
         assert space_matrices(rla.der_p(L), 3) == brute_p
+    # every GF(3) dim-2 table and every non-abelian GF(2) dim-3 table
+    gf3 = [e.algebra for e in rla.enumerate_nilpotent(3, 2)]
+    gf2 = [e.algebra for e in rla.enumerate_nilpotent(2, 3) if e.algebra.sc.any()]
+    assert (len(gf3), len(gf2)) == (81, 8)
+    for L in gf3 + gf2:
+        brute = {tuple(m.reshape(-1)) for m in brute_derivations(L)}
+        assert space_matrices(rla.der(L), L.dim) == brute
+        brute_p = {tuple(m.reshape(-1)) for m in brute_restricted_derivations(L)}
+        assert space_matrices(rla.der_p(L), L.dim) == brute_p
 
 
 def test_inner_span(heis2u):
