@@ -4,8 +4,10 @@ An algebra of dimension n is stored as a tensor sc of shape (n, n, n) with
 sc[i, j] = coordinates of [x_i, x_j], plus a table pmap of shape (n, n) with
 pmap[i] = coordinates of x_i^[p]. Algebras on one table share one LieBracket,
 which checks antisymmetry and the Jacobi identity once; construction validates
-ad(x_i^[p]) = (ad x_i)^p. The p-operation on arbitrary elements is the unique
-extension of the table.
+ad(x_i^[p]) = (ad x_i)^p. An algebra can be built on a LieBracket already in
+hand instead of an sc tensor, skipping the reduction and interning of the
+table. The p-operation on arbitrary elements is the unique extension of the
+table.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ class LieBracket:
         self.p = p
         self.sc = sc
         sc.setflags(write=False)
+        self.abelian = not sc.any()
         # ad matrices of basis elements: ad_basis[i] @ v = [x_i, v]
         self.ad_basis = np.ascontiguousarray(sc.transpose(0, 2, 1))
         self.ad_basis.setflags(write=False)
@@ -100,10 +103,18 @@ def _bracket(p: int, shape: Tuple[int, ...], table: bytes) -> LieBracket:
 
 
 class RestrictedLieAlgebra:
+    """sc is a structure-constant tensor, or the LieBracket of one (whose p
+    must be this algebra's)."""
+
     def __init__(self, p: int, sc, pmap, labels: Optional[Sequence[str]] = None,
                  validate: bool = True):
         self.p = check_prime(p)
-        sc = asmod(sc, self.p)
+        if isinstance(sc, LieBracket):
+            if sc.p != self.p:
+                raise ValueError(f"bracket over GF({sc.p}) given for p = {self.p}")
+            bracket, sc = sc, sc.sc
+        else:
+            bracket, sc = None, asmod(sc, self.p)
         self.pmap = asmod(pmap, self.p)
         n = self.pmap.shape[0] if self.pmap.ndim else 0
         if sc.shape != (n, n, n) or self.pmap.shape != (n, n):
@@ -112,7 +123,8 @@ class RestrictedLieAlgebra:
         self.labels: Optional[Tuple[str, ...]] = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels length does not match dimension")
-        self.bracket = _bracket(self.p, sc.shape, sc.tobytes())
+        self.bracket = (_bracket(self.p, sc.shape, sc.tobytes())
+                        if bracket is None else bracket)
         self.sc = self.bracket.sc
         self.ad_basis = self.bracket.ad_basis
         if validate:

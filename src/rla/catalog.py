@@ -17,7 +17,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import RestrictedLieAlgebra, direct_product, from_brackets
+from .algebra import (LieBracket, RestrictedLieAlgebra, direct_product,
+                      from_brackets)
 from .derivations import h1_adjoint_dim
 from .errors import (BudgetExceededError, CertificationError,
                      PreconditionError)
@@ -222,7 +223,7 @@ def _enumerate_raw(p: int, dim: int) -> Iterator[CatalogEntry]:
         cosets = _pmap_candidates(sc, p)
         if cosets is None:
             continue
-        rows = _certified_rows(slug, p, sc, cosets)
+        bracket, rows = _certified_rows(slug, p, sc, cosets)
         count = len(cosets[0])
         # one row index per generator, generator 0 varying slowest
         picks = iter_product(*(range(i * count, (i + 1) * count)
@@ -230,17 +231,18 @@ def _enumerate_raw(p: int, dim: int) -> Iterator[CatalogEntry]:
         for k, pick in enumerate(picks):
             yield CatalogEntry(
                 name=f"gf{p}-d{dim}-{slug}-{k:06d}",
-                algebra=Alg(p, sc, rows.take(pick, axis=0), validate=False),
+                algebra=Alg(p, bracket, rows.take(pick, axis=0), validate=False),
                 provenance="enumerated nilpotent restricted structure")
 
 
 def _certified_rows(slug: str, p: int, sc: np.ndarray,
-                    cosets: List[List[np.ndarray]]) -> np.ndarray:
-    """Every generator's candidate images stacked generator by generator,
-    certified once for the template: the bracket axioms, nilpotency, and
-    Jacobson's criterion on each candidate row. A p-map table is admissible
-    exactly when each of its rows is, so any table picked from these rows is
-    valid."""
+                    cosets: List[List[np.ndarray]]
+                    ) -> Tuple[LieBracket, np.ndarray]:
+    """The template's interned bracket, and every generator's candidate
+    images stacked generator by generator, certified once for the template:
+    the bracket axioms, nilpotency, and Jacobson's criterion on each
+    candidate row. A p-map table is admissible exactly when each of its rows
+    is, so any table picked from these rows on this bracket is valid."""
     rows = np.array(cosets, dtype=np.int64)  # (n, count, n)
     n, count = rows.shape[:2]
     template = Alg(p, sc, rows[:, 0], validate=False)
@@ -249,7 +251,7 @@ def _certified_rows(slug: str, p: int, sc: np.ndarray,
     template.bracket.check_pmap(rows, np.repeat(np.arange(n), count))
     if not is_nilpotent(template):
         raise CertificationError(f"template {slug} is not nilpotent")
-    return rows
+    return template.bracket, rows
 
 
 def _invertible_matrices(n: int, p: int) -> List[np.ndarray]:

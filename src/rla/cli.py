@@ -19,10 +19,11 @@ from .algebra import RestrictedLieAlgebra, from_doc, to_doc
 from .catalog import enumerate_nilpotent, named_entries
 from .cohomology import adjoint_module, b1, z1
 from .config import Config, from_env
-from .derivations import (der, der_p, find_nilpotent_outer,
+from .derivations import (Derivation, der, der_p, find_nilpotent_outer,
                           find_square_zero_outer, h1_adjoint_dim, inner)
 from .errors import (BudgetExceededError, CertificationError, ConfigError,
-                     DocumentError, RlaError, ValidationError)
+                     DocumentError, NotADerivationError, RlaError,
+                     ValidationError)
 from .harness import CLAIM_DESCRIPTIONS, export_csv, verify_claim
 from .structure import (center, codim1_max_p_ideals, derived, is_abelian,
                         is_nilpotent, is_p_unipotent, maximal_abelian_p_ideal,
@@ -164,12 +165,24 @@ def cmd_derivations(args) -> int:
 def cmd_h1(args) -> int:
     L = _load_algebra(args.file)
     M = adjoint_module(L)
-    zdim = z1(L, M).dim
-    bdim = b1(L, M).dim
+    zs, bs = z1(L, M), b1(L, M)
+    zdim, bdim = zs.dim, bs.dim
     dp, inn = der_p(L).dim, inner(L).dim
     if (zdim, bdim) != (dp, inn):
         raise CertificationError(
             f"cocycle/derivation mismatch: z1={zdim} der_p={dp} b1={bdim} inner={inn}")
+    # z1 and der_p come from one row builder; certify the cocycles apart
+    # from it, through the Leibniz rule and the restricted condition
+    for row in zs.basis:
+        try:
+            restricted = Derivation(L, row.reshape(L.dim, L.dim)).is_restricted
+        except NotADerivationError as exc:
+            raise CertificationError(
+                f"z1 basis vector is not a derivation: {exc}") from exc
+        if not restricted:
+            raise CertificationError("z1 basis vector is not a restricted derivation")
+    if not zs.contains(bs):
+        raise CertificationError("b1 is not contained in z1")
     print(f"z1: {zdim}")
     print(f"b1: {bdim}")
     print(f"h1: {zdim - bdim}")

@@ -12,12 +12,11 @@ import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import RestrictedLieAlgebra, quotient
+from .algebra import RestrictedLieAlgebra, _cached, quotient
 from .catalog import (CatalogEntry, enumerate_nilpotent, final_remark_algebra,
                       torus)
 from .cohomology import find_p_complement, induced_module, is_free_over_unipotent
@@ -187,54 +186,92 @@ def export_csv(report: TheoremReport) -> str:
 # -- subspace scan plumbing ----------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _subspace_tables(n: int, p: int) -> Tuple[Tuple[int, np.ndarray, np.ndarray], ...]:
-    """Proper subspaces of GF(p)^n grouped by dimension: (k, bases, anns) with
-    bases (count, k, n) and anns (count, n-k, n)."""
-    groups = []
-    for k in range(n):
-        subs = list(enumerate_subspaces(n, p, [k]))
-        bases = np.stack([s.basis for s in subs])
-        anns = np.stack([s.annihilator() for s in subs])
-        groups.append((k, bases, anns))
-    return tuple(groups)
+def _bracket_scan(L: Alg) -> Tuple[Tuple[int, np.ndarray, np.ndarray,
+                                         np.ndarray, np.ndarray], ...]:
+    """Proper subspaces of GF(p)^n grouped by dimension, with what L's bracket
+    alone decides about them: (k, bases, anns, ideal, abelian) with bases
+    (count, k, n), anns (count, n-k, n) and masks of the ideals and of the
+    abelian subspaces. Computed once per bracket, so read-only."""
+    def compute():
+        n, p, sc = L.dim, L.p, L.sc
+        groups = []
+        for k in range(n):
+            subs = list(enumerate_subspaces(n, p, [k]))
+            bases = np.stack([s.basis for s in subs])
+            anns = np.stack([s.annihilator() for s in subs])
+            brk = np.einsum("ijm,skj->sikm", sc, bases) % p
+            viol = np.einsum("sikm,sqm->sikq", brk, anns) % p
+            ideal = ~viol.reshape(len(subs), -1).any(axis=1)
+            pb = np.einsum("ski,slj,ijm->sklm", bases, bases, sc) % p
+            abelian = ~pb.reshape(len(subs), -1).any(axis=1)
+            for table in (bases, anns, ideal, abelian):
+                table.setflags(write=False)
+            groups.append((k, bases, anns, ideal, abelian))
+        return tuple(groups)
+    return _cached(L.bracket, "subspace_scan", compute)
 
 
 def _scan_p_ideals(L: Alg, want_abelian: bool, require_torus: bool
                    ) -> List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Flag, over all proper subspaces, the p-ideals (optionally abelian,
     optionally containing the maximal torus). Returns per-dimension groups
-    (k, bases, anns, mask)."""
+    (k, bases, anns, mask).
+
+    Being an ideal and being abelian are bracket facts, read from
+    _bracket_scan. Per algebra only two tests run: containing the torus, and
+    closure under the p-map, which an ideal passes once the p-powers of its
+    basis rows lie in it (see is_p_subalgebra). Those p-powers are computed
+    once per distinct row among the remaining subspaces: as the matching
+    combination of table rows on an abelian bracket, by ppow_vec otherwise."""
     n, p = L.dim, L.p
     t = maximal_torus(L) if require_torus else None
-    out = []
-    for k, bases, anns in _subspace_tables(n, p):
-        count = anns.shape[0]
-        mask = np.ones(count, dtype=bool)
+    groups = _bracket_scan(L)
+    masks = []
+    for k, bases, anns, ideal, abelian in groups:
+        mask = ideal & abelian if want_abelian else ideal.copy()
         if require_torus and t.dim:
             viol = np.einsum("sqm,tm->sqt", anns, t.basis) % p
-            mask &= ~viol.reshape(count, -1).any(axis=1)
-        if k:
-            brk = np.einsum("ijm,skj->sikm", L.sc, bases) % p
-            viol = np.einsum("sikm,sqm->sikq", brk, anns) % p
-            mask &= ~viol.reshape(count, -1).any(axis=1)
-            if is_abelian(L):
-                # no bracket corrections: the p-power of a combination is the
-                # matching combination of basis p-powers
-                pps = np.einsum("skj,jm->skm", bases, L.pmap) % p
-                viol = np.einsum("skm,sqm->skq", pps, anns) % p
-                mask &= ~viol.reshape(count, -1).any(axis=1)
-            else:
-                for s in np.nonzero(mask)[0]:
-                    for b in bases[s]:
-                        if ((anns[s] @ L.ppow_vec(b)) % p).any():
-                            mask[s] = False
-                            break
-            if want_abelian and mask.any():
-                pb = np.einsum("ski,slj,ijm->sklm", bases, bases, L.sc) % p
-                mask &= ~pb.reshape(count, -1).any(axis=1)
+            mask &= ~viol.reshape(mask.size, -1).any(axis=1)
+        masks.append(mask)
+    rows = [bases[mask].reshape(-1, n)
+            for (_, bases, _, _, _), mask in zip(groups, masks)]
+    rows = np.concatenate(rows) if rows else np.zeros((0, n), dtype=np.int64)
+    if L.bracket.abelian:
+        images = (rows @ L.pmap) % p
+    else:
+        distinct, where = np.unique(rows, axis=0, return_inverse=True)
+        images = np.array([L.ppow_vec(r) for r in distinct],
+                          dtype=np.int64).reshape(-1, n)[where.reshape(-1)]
+    out, start = [], 0
+    for (k, bases, anns, _, _), mask in zip(groups, masks):
+        idx = np.nonzero(mask)[0]
+        if k and idx.size:
+            pps = images[start:start + idx.size * k].reshape(idx.size, k, n)
+            start += idx.size * k
+            viol = np.einsum("skm,sqm->skq", pps, anns[idx]) % p
+            mask[idx] = ~viol.reshape(idx.size, -1).any(axis=1)
         out.append((k, bases, anns, mask))
     return out
+
+
+def _self_centralizing(L: Alg) -> Tuple[np.ndarray, ...]:
+    """Per group of _bracket_scan, which abelian ideals equal their own
+    centralizer and properly contain the center: bracket facts, computed
+    once per bracket."""
+    def compute():
+        n, p = L.dim, L.p
+        zen = center(L)
+        out = []
+        for k, bases, _, ideal, abelian in _bracket_scan(L):
+            good = np.zeros(ideal.size, dtype=bool)
+            for s in np.nonzero(ideal & abelian)[0]:
+                a = Subspace.from_rows(bases[s], p, n)
+                good[s] = (centralizer(L, a) == a and a.contains(zen)
+                           and zen.dim < a.dim)
+            good.setflags(write=False)
+            out.append(good)
+        return tuple(out)
+    return _cached(L.bracket, "self_centralizing", compute)
 
 
 def _maximal_flags(groups, p: int) -> List[np.ndarray]:
@@ -318,34 +355,30 @@ def _check_thm36(L: Alg, algebra_id: str, budget: int) -> InstanceResult:
 
 def _check_prop24(L: Alg, algebra_id: str, budget: int) -> InstanceResult:
     """Exhaustive subspace scan: every maximal abelian p-ideal equals its own
-    centralizer and properly contains the center."""
-    p = L.p
+    centralizer and properly contains the center. The scan must meet the
+    greedy maximal abelian p-ideal."""
     groups = _scan_p_ideals(L, want_abelian=True, require_torus=False)
-    max_flags = _maximal_flags(groups, p)
+    max_flags = _maximal_flags(groups, L.p)
     zen = center(L)
     greedy = maximal_abelian_p_ideal(L)
     greedy_seen = False
     ok = True
     count = 0
     dims = []
-    for (k, bases, anns, mask), is_max in zip(groups, max_flags):
-        idx = np.nonzero(mask)[0]
-        for pos, s in enumerate(idx):
-            if not is_max[pos]:
-                continue
-            count += 1
+    for (k, bases, _, mask), is_max, good in zip(groups, max_flags,
+                                                 _self_centralizing(L)):
+        top = np.nonzero(mask)[0][is_max]
+        if top.size:
+            count += int(top.size)
             dims.append(k)
-            a = Subspace.from_rows(bases[s], p, L.dim)
-            if a == greedy:
-                greedy_seen = True
-            if centralizer(L, a) != a:
-                ok = False
-            if not (a.contains(zen) and zen.dim < a.dim):
-                ok = False
+            ok = ok and bool(good[top].all())
+            # subspaces are equal exactly when their RREF bases are
+            greedy_seen = greedy_seen or (k == greedy.dim and any(
+                np.array_equal(bases[s], greedy.basis) for s in top))
     if not greedy_seen:
         raise CertificationError("greedy maximal abelian p-ideal missing from the scan")
     inv = {"dim": L.dim, "maximal_abelian_p_ideal_count": count,
-           "maximal_abelian_p_ideal_dims": sorted(set(dims)),
+           "maximal_abelian_p_ideal_dims": dims,
            "center_dim": int(zen.dim)}
     return InstanceResult(algebra_id, "pass" if ok else "fail", None, inv)
 

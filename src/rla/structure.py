@@ -79,7 +79,7 @@ def nilpotency_class(L: Alg) -> int:
 
 
 def is_abelian(L: Alg) -> bool:
-    return not L.sc.any()
+    return L.bracket.abelian
 
 
 def is_abelian_subspace(L: Alg, s: Subspace) -> bool:

@@ -139,6 +139,90 @@ def subspace_vectors(s):
     return set(out)
 
 
+_SUBSPACES = {}
+
+
+def all_subspaces(n, p):
+    """Every subspace of GF(p)^n as a frozenset of coordinate tuples, grown
+    from the zero space by adjoining one vector at a time (memoized)."""
+    if (n, p) in _SUBSPACES:
+        return _SUBSPACES[(n, p)]
+    vecs = list(itertools.product(range(p), repeat=n))
+    found = {frozenset([(0,) * n])}
+    frontier = list(found)
+    while frontier:
+        grown = []
+        for s in frontier:
+            for v in vecs:
+                if v in s:
+                    continue
+                t = frozenset(tuple((a + c * b) % p for a, b in zip(u, v))
+                              for u in s for c in range(p))
+                if t not in found:
+                    found.add(t)
+                    grown.append(t)
+        frontier = grown
+    _SUBSPACES[(n, p)] = tuple(sorted(found, key=len))
+    return _SUBSPACES[(n, p)]
+
+
+def brute_p_ideals(L):
+    """(ideals, center, torus) of a nilpotent L of class <= 2, by brute force
+    over subspaces as sets of vectors: every proper p-ideal as a pair (set,
+    abelian flag), the center, and the maximal torus as the periodic points
+    of the p-power map on the center.
+
+    p-powers use the closed form for class <= 2: linear in the table rows,
+    plus sum_{i<j} c_i c_j [x_i, x_j] when p = 2 (for p >= 3 every
+    correction term is a bracket of length p, which vanishes)."""
+    n, p = L.dim, L.p
+    eye = np.eye(n, dtype=np.int64)
+    if any(brk(L, eye[i], brk(L, eye[j], eye[k])).any()
+           for i, j, k in itertools.product(range(n), repeat=3)):
+        raise ValueError("closed-form p-powers need nilpotency class <= 2")
+
+    def key(v):
+        return tuple(int(x) for x in v)
+
+    vecs = all_vectors(n, p)
+    ad = {(i, key(v)): key(brk(L, eye[i], v)) for i in range(n) for v in vecs}
+    pp = {}
+    for v in vecs:
+        out = sum(int(v[i]) * L.pmap[i] for i in range(n))
+        if p == 2:
+            out = out + sum(int(v[i] * v[j]) * brk(L, eye[i], eye[j])
+                            for i in range(n) for j in range(i + 1, n))
+        pp[key(v)] = key(np.asarray(out) % p)
+    zero = (0,) * n
+    center = frozenset(key(v) for v in vecs
+                       if all(ad[(i, key(v))] == zero for i in range(n)))
+
+    def periodic(v):
+        w = pp[v]
+        for _ in range(len(center)):
+            if w == v:
+                return True
+            w = pp[w]
+        return False
+
+    torus = frozenset(v for v in center if periodic(v))
+    commutes = {}
+
+    def commute(a, b):
+        if (a, b) not in commutes:
+            commutes[(a, b)] = not brk(L, np.array(a), np.array(b)).any()
+        return commutes[(a, b)]
+
+    ideals = []
+    for s in all_subspaces(n, p):
+        if len(s) == p ** n:
+            continue
+        if all(ad[(i, v)] in s for v in s for i in range(n)) and all(
+                pp[v] in s for v in s):
+            ideals.append((s, all(commute(a, b) for a in s for b in s)))
+    return ideals, center, torus
+
+
 def gl2_algebra(p):
     """gl_2 over GF(p) with the matrix p-th power as p-map: an associative
     algebra supplies an independent oracle for the p-power formula."""

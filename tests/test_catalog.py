@@ -216,3 +216,32 @@ def test_incompatible_candidate_raises_before_its_template(monkeypatch):
     assert info.value.i == 2
     assert len(seen) == 512
     assert not any("-heis-" in name for name in seen)
+
+
+def test_enumerated_tables_share_their_template_bracket():
+    """Each table is built on the interned bracket of its own sc, the one its
+    template certified, and that bracket's abelian flag reads the table."""
+    from rla.algebra import _bracket
+
+    for p, dim in ((2, 4), (3, 3)):
+        seen = set()
+        for e in enumerate_nilpotent(p, dim):
+            L = e.algebra
+            assert L.bracket is _bracket(p, L.sc.shape, L.sc.tobytes()), e.name
+            assert L.bracket.sc is L.sc
+            assert rla.is_abelian(L) == (not L.sc.any())
+            seen.add(id(L.bracket))
+        assert len(seen) == 2  # abelian and one non-abelian template
+
+
+def test_constructor_checks_a_given_bracket_against_the_pmap():
+    heis = rla.heisenberg(2).algebra
+    L = rla.RestrictedLieAlgebra(2, heis.bracket, heis.pmap)
+    assert L.bracket is heis.bracket and L.table_equal(heis)
+    with pytest.raises(ValueError, match="GF"):
+        rla.RestrictedLieAlgebra(3, heis.bracket, np.zeros((3, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="do not match"):
+        rla.RestrictedLieAlgebra(2, heis.bracket, np.zeros((2, 2), dtype=np.int64))
+    # a bracket given in place of sc is still validated unless told otherwise
+    with pytest.raises(PMapCompatibilityError):
+        rla.RestrictedLieAlgebra(2, heis.bracket, np.eye(3, dtype=np.int64))

@@ -174,6 +174,20 @@ def test_h1(capsys, heis_file):
                                 "cross-check: der_p=4 inner=2 ok"]
 
 
+def test_h1_certifies_cocycles_apart_from_their_builder(capsys, monkeypatch,
+                                                        heis_file):
+    # same dimension as der_p, but x -> x breaks the Leibniz rule at
+    # [x, y] = z: the dimension comparison alone would print "ok"
+    def fake_z1(L, M):
+        return rla.Subspace.from_rows(np.eye(L.dim * L.dim, dtype=np.int64)[:4],
+                                      L.p, L.dim * L.dim)
+
+    monkeypatch.setattr("rla.cli.z1", fake_z1)
+    code, out, err = run(capsys, "h1", heis_file)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "Leibniz" in err
+
+
 def test_verify_with_reports(capsys, tmp_path):
     out_json = str(tmp_path / "report.json")
     out_csv = str(tmp_path / "report.csv")

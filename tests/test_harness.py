@@ -1,15 +1,20 @@
 """Claim populations, per-instance verdicts, and report serialization."""
 
+import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import rla
 from rla import (Config, InstanceResult, PreconditionError, TheoremReport,
                  exception_tag, export_csv, summarize, verify_claim)
+
+from conftest import all_vectors, brk, brute_p_ideals
 
 
 def test_exception_tags(heis2u, heis3):
@@ -100,6 +105,119 @@ def test_prop24_scan_certified_without_assert(monkeypatch):
     monkeypatch.setattr(rla.harness, "maximal_abelian_p_ideal", rla.center)
     with pytest.raises(rla.CertificationError):
         verify_claim("Prop-2.4", 2, 3)
+
+
+def test_lem26_scan_on_zero_dim_algebra():
+    # GF(p)^0 has no proper subspace, so the scan has no groups
+    L = rla.RestrictedLieAlgebra(2, np.zeros((0, 0, 0), dtype=np.int64),
+                                 np.zeros((0, 0), dtype=np.int64))
+    r = rla.harness._check("Lem-2.6", L, "zero", 1)
+    assert r.verdict == "pass" and r.invariants["maximal_p_ideal_count"] == 0
+
+
+def _space_dim(s, p):
+    dim = 0
+    while p ** dim < len(s):
+        dim += 1
+    return dim
+
+
+def _maximal(sets):
+    return [s for s in sets if not any(s < t for t in sets)]
+
+
+def _tables(p, dims, nonabelian):
+    return {e.name: e.algebra for d in dims for e in rla.enumerate_nilpotent(p, d)
+            if not (nonabelian and rla.is_abelian(e.algebra))}
+
+
+def _brute_lem26_count(L):
+    ideals, _, torus = brute_p_ideals(L)
+    return len(_maximal([s for s, _ in ideals if torus <= s]))
+
+
+def test_p_ideal_invariants_match_brute_force():
+    """Prop-2.4's and Lem-2.6's recorded invariants against brute_p_ideals,
+    which shares no code with the subspace scan."""
+    budget = Config().search_budget
+    for p, bound in ((2, 4), (3, 3)):
+        tables = _tables(p, range(1, bound + 1), nonabelian=True)
+        rep = verify_claim("Prop-2.4", p, bound)
+        assert [r.algebra_id for r in rep.instances] == list(tables)
+        for r in rep.instances:
+            L = tables[r.algebra_id]
+            ideals, zen, _ = brute_p_ideals(L)
+            top = _maximal([s for s, abelian in ideals if abelian])
+            assert r.invariants == {
+                "dim": L.dim, "maximal_abelian_p_ideal_count": len(top),
+                "maximal_abelian_p_ideal_dims": sorted({_space_dim(s, p) for s in top}),
+                "center_dim": _space_dim(zen, p)}, r.algebra_id
+            lem = rla.harness._check("Lem-2.6", L, r.algebra_id, budget)
+            assert lem.invariants["maximal_p_ideal_count"] == _brute_lem26_count(L)
+    for p, bound in ((2, 3), (3, 2)):
+        tables = _tables(p, range(1, bound + 1), nonabelian=False)
+        rep = verify_claim("Lem-2.6", p, bound)
+        assert [r.algebra_id for r in rep.instances] == list(tables)
+        for r in rep.instances:
+            assert r.invariants["maximal_p_ideal_count"] == _brute_lem26_count(
+                tables[r.algebra_id]), r.algebra_id
+
+
+def test_bracket_scan_masks_match_brute_force():
+    """The per-bracket masks (ideal, abelian, and Prop-2.4's self-centralizing
+    and properly-over-the-center) on every non-abelian template, by sets. On
+    those templates every abelian ideal over the center is self-centralizing,
+    so the filiform algebra over GF(3) (where <x2, x3> is not) is added."""
+    from rla.harness import _bracket_scan, _self_centralizing
+
+    heisline = next(e.algebra for e in rla.enumerate_nilpotent(2, 4)
+                    if not rla.is_abelian(e.algebra))
+    filiform = rla.from_brackets(3, 4, {(0, 1): [0, 0, 1, 0], (0, 2): [0, 0, 0, 1]},
+                                 np.zeros((4, 4), dtype=np.int64))
+    for L in (rla.heisenberg(2).algebra, rla.heisenberg(3).algebra, heisline,
+              filiform):
+        p, vecs = L.p, all_vectors(L.dim, L.p)
+        basis = np.eye(L.dim, dtype=np.int64)
+
+        def span(rows):
+            return {tuple(int(x) for x in sum((c * r for c, r in zip(cs, rows)),
+                                              np.zeros(L.dim, dtype=np.int64)) % p)
+                    for cs in itertools.product(range(p), repeat=len(rows))}
+
+        def centralizer(rows):
+            return {tuple(int(x) for x in v) for v in vecs
+                    if not any(brk(L, v, r).any() for r in rows)}
+
+        zen = centralizer(basis)
+        for (k, bases, _, ideal, abelian), good in zip(_bracket_scan(L),
+                                                       _self_centralizing(L)):
+            for s, rows in enumerate(bases):
+                sub = span(rows)
+                is_ideal = all(tuple(int(x) for x in brk(L, x, np.array(v))) in sub
+                               for x in basis for v in sub)
+                is_abelian = not any(brk(L, a, b).any() for a in rows for b in rows)
+                assert (bool(ideal[s]), bool(abelian[s])) == (is_ideal, is_abelian)
+                assert bool(good[s]) == (is_ideal and is_abelian
+                                         and centralizer(rows) == sub and zen < sub)
+
+
+# sha256 of verify_claim(*args).to_json(): a speed-up of the subspace scans,
+# the enumerator or a layer below them must leave the report bytes as they are
+_REPORT_DIGESTS = [
+    (("Prop-2.4", 2, 4), "497979368726cf76b8f592e9a799219a142ff5886b71163344b92be912844b0f"),
+    (("Prop-2.4", 2, 3), "37b8631310040cbf6e2f62107e10b8a455c67a6527758edf3265f7ebce692926"),
+    (("Lem-2.6", 2, 3), "e30447d5619382a01881328c2224a2b79c65c31b1e8117fe92dddcbbd2baf656"),
+    (("Lem-2.6", 3, 2), "e8170d191688e0936f60a5cfe51c03c318f370aa83c6b71f304a098b08449532"),
+    (("Prop-3.2",), "7f6d02cd43b36f2f3450edb3a6cb323c54303bf791b551ae6b0157c701186286"),
+]
+
+
+@pytest.mark.parametrize("args,digest", [
+    pytest.param(args, digest, id="-".join(map(str, args)))
+    for args, digest in _REPORT_DIGESTS])
+def test_report_digests_pinned(args, digest):
+    text = verify_claim(*args).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_other_claims_small_populations():
