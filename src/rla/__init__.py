@@ -3,11 +3,11 @@ prime fields: structure constants and p-maps, restricted derivations and
 first cohomology, searches for square-zero outer derivations, and
 claim-verification suites over enumerated populations."""
 
-from .algebra import (Element, Quotient, RestrictedLieAlgebra, direct_product,
+from .algebra import (Quotient, RestrictedLieAlgebra, direct_product,
                       from_brackets, from_doc, quotient, to_doc, twist_pmap)
-from .catalog import (CatalogEntry, enumerate_nilpotent, final_remark_algebra,
-                      fingerprint, heisenberg, named_entries, one_dim_nil,
-                      torus, two_dim_nonabelian)
+from .catalog import (CatalogEntry, default_dim_bound, enumerate_nilpotent,
+                      final_remark_algebra, fingerprint, heisenberg,
+                      named_entries, one_dim_nil, torus, two_dim_nonabelian)
 from .cohomology import (Cochain, RestrictedModule, adjoint_module, b1,
                          find_p_complement, gamma_nontrivial, h1_dim,
                          induced_module, invariants, is_free_over_unipotent,
@@ -24,8 +24,7 @@ from .errors import (AntisymmetryError, BudgetExceededError,
                      PMapCompatibilityError, PreconditionError, RlaError,
                      ValidationError)
 from .harness import (CLAIM_DESCRIPTIONS, InstanceResult, TheoremReport,
-                      default_dim_bound, exception_tag, export_csv, summarize,
-                      verify_claim)
+                      exception_tag, export_csv, summarize, verify_claim)
 from .linalg import (Subspace, coeff_blocks, complements, enumerate_subspaces,
                      kernel, mat_pow, rref, solve)
 from .structure import (bracket_space, center, centralizer,

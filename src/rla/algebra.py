@@ -182,23 +182,19 @@ class RestrictedLieAlgebra:
         return acc_pp
 
     def _psum_correction(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Sum of the cross terms s_k(u, v) in (u+v)^[p], computed over the
-        truncated polynomial ring GF(p)[t]/(t^p): k*s_k is the coefficient of
-        t^(k-1) in (ad(t*u + v))^(p-1) applied to u."""
-        p, n = self.p, self.dim
-        poly = np.zeros((2, n, n), dtype=np.int64)
-        poly[0] = self.ad(v)
-        poly[1] = self.ad(u)
-        power = _poly_mat_pow(poly, p - 1, p)
-        out = self.zero_vec()
-        for k in range(1, p):
-            if k - 1 < power.shape[0]:
-                coeff = (power[k - 1] @ u) % p
-                out = (out + inv_scalar(k, p) * coeff) % p
-        return out
-
-    def element(self, coords) -> "Element":
-        return Element(self, asmod(coords, self.p))
+        """Sum of the cross terms s_k(u, v) in (u+v)^[p]: k*s_k is the
+        coefficient of t^(k-1) in ad(t*u + v)^(p-1) applied to u. Row d of w
+        holds the t^d coefficient of that polynomial vector (degrees below
+        p - 1 suffice); each step is w <- ad(v) w + t ad(u) w."""
+        p = self.p
+        ad_u, ad_v = self.ad(u).T, self.ad(v).T
+        w = np.zeros((p - 1, self.dim), dtype=np.int64)
+        w[0] = u
+        for _ in range(p - 1):
+            step = w @ ad_v
+            step[1:] += w[:-1] @ ad_u
+            w = step % p
+        return sum(inv_scalar(k, p) * w[k - 1] for k in range(1, p)) % p
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else f"x{i}"
@@ -207,83 +203,28 @@ class RestrictedLieAlgebra:
         return f"RestrictedLieAlgebra(p={self.p}, dim={self.dim})"
 
 
-def _poly_mat_mul(a: np.ndarray, b: np.ndarray, p: int, maxdeg: int) -> np.ndarray:
-    da, db = a.shape[0] - 1, b.shape[0] - 1
-    d = min(da + db, maxdeg)
-    n = a.shape[1]
-    out = np.zeros((d + 1, n, n), dtype=np.int64)
-    for i in range(da + 1):
-        for j in range(db + 1):
-            if i + j <= d:
-                out[i + j] = (out[i + j] + a[i] @ b[j]) % p
-    return out
-
-
-def _poly_mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
-    n = m.shape[1]
-    out = np.zeros((1, n, n), dtype=np.int64)
-    out[0] = np.eye(n, dtype=np.int64)
-    base = m % p
-    maxdeg = p - 1
-    while e > 0:
-        if e & 1:
-            out = _poly_mat_mul(out, base, p, maxdeg)
-        e >>= 1
-        if e:
-            base = _poly_mat_mul(base, base, p, maxdeg)
-    return out
-
-
-@dataclass(frozen=True)
-class Element:
-    algebra: RestrictedLieAlgebra
-    coords: np.ndarray
-
-    def _check(self, other: "Element") -> None:
-        if self.algebra is not other.algebra:
-            raise ValueError("elements belong to different algebras")
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, (self.coords + other.coords) % self.algebra.p)
-
-    def __sub__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, (self.coords - other.coords) % self.algebra.p)
-
-    def __rmul__(self, scalar: int) -> "Element":
-        return Element(self.algebra, (scalar * self.coords) % self.algebra.p)
-
-    def bracket(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, self.algebra.bracket_vec(self.coords, other.coords))
-
-    def ad(self) -> np.ndarray:
-        return self.algebra.ad(self.coords)
-
-    def ppow(self) -> "Element":
-        return Element(self.algebra, self.algebra.ppow_vec(self.coords))
-
-    def is_zero(self) -> bool:
-        return not self.coords.any()
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Element) and self.algebra is other.algebra
-                and np.array_equal(self.coords, other.coords))
+def _structure_constants(p: int, dim: int,
+                         brackets: Dict[Tuple[int, int], Iterable[int]]
+                         ) -> np.ndarray:
+    """The sc tensor of the brackets [x_i, x_j] = v given for i < j."""
+    sc = np.zeros((dim, dim, dim), dtype=np.int64)
+    for (i, j), v in brackets.items():
+        vec = asmod(list(v), p)
+        # a short v would broadcast into sc[i, j] rather than fail
+        if not 0 <= i < j < dim or vec.shape != (dim,):
+            raise ValueError(f"bracket ({i}, {j}) needs 0 <= i < j < dim and a "
+                             f"vector of length dim = {dim}, got {vec.tolist()}")
+        sc[i, j] = vec
+        sc[j, i] = (-vec) % p
+    return sc
 
 
 def from_brackets(p: int, dim: int, brackets: Dict[Tuple[int, int], Iterable[int]],
                   pmap, labels: Optional[Sequence[str]] = None,
                   validate: bool = True) -> RestrictedLieAlgebra:
     """Convenience constructor: brackets given only for i < j."""
-    sc = np.zeros((dim, dim, dim), dtype=np.int64)
-    for (i, j), v in brackets.items():
-        if not 0 <= i < j < dim:
-            raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
-        vec = asmod(list(v), p)
-        sc[i, j] = vec
-        sc[j, i] = (-vec) % p
-    return RestrictedLieAlgebra(p, sc, pmap, labels=labels, validate=validate)
+    return RestrictedLieAlgebra(p, _structure_constants(p, dim, brackets), pmap,
+                                labels=labels, validate=validate)
 
 
 # -- quotients, products, twists ------------------------------------------
@@ -408,8 +349,7 @@ def from_doc(doc: dict) -> RestrictedLieAlgebra:
         check_prime(p)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-    sc = np.zeros((dim, dim, dim), dtype=np.int64)
-    seen = set()
+    brackets = {}
     entries = doc.get("brackets", [])
     if not isinstance(entries, list):
         raise DocumentError("brackets must be a list")
@@ -419,17 +359,15 @@ def from_doc(doc: dict) -> RestrictedLieAlgebra:
         i, j, v = entry["i"], entry["j"], entry["v"]
         if not _is_int(i) or not _is_int(j) or not 0 <= i < j < dim:
             raise DocumentError(f"bracket indices must satisfy 0 <= i < j < dim, got ({i}, {j})")
-        if (i, j) in seen:
+        if (i, j) in brackets:
             raise DocumentError(f"duplicate bracket entry ({i}, {j})")
-        seen.add((i, j))
         if not isinstance(v, list) or len(v) != dim or any(
                 not _is_int(x) for x in v):
             raise DocumentError("bracket value must be an integer vector of length dim")
-        sc[i, j] = asmod(v, p)
-        sc[j, i] = (-sc[i, j]) % p
+        brackets[i, j] = v
     if any(not _is_int(x) for row in pmap for x in row):
         raise DocumentError("pmap entries must be integers")
-    return RestrictedLieAlgebra(p, sc,
+    return RestrictedLieAlgebra(p, _structure_constants(p, dim, brackets),
                                 asmod(pmap, p).reshape(dim, dim),
                                 labels=labels)
 

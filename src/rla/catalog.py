@@ -17,18 +17,15 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import (LieBracket, RestrictedLieAlgebra, direct_product,
-                      from_brackets)
+from .algebra import (LieBracket, RestrictedLieAlgebra, _structure_constants,
+                      direct_product, from_brackets)
 from .derivations import h1_adjoint_dim
-from .errors import (BudgetExceededError, CertificationError,
-                     PreconditionError)
+from .errors import CertificationError, PreconditionError
 from .linalg import asmod, check_prime, kernel, mat_pow, rref, solve
 from .structure import (center, derived, is_abelian, is_nilpotent,
                         lower_central_series, maximal_torus)
 
 Alg = RestrictedLieAlgebra
-
-DEDUP_GROUP_BUDGET = 2 ** 16  # cap on p^(n^2) candidate basis changes
 
 
 @dataclass
@@ -36,7 +33,6 @@ class CatalogEntry:
     name: str
     algebra: Alg
     expected: Dict[str, object] = field(default_factory=dict)
-    provenance: str = ""
 
 
 def torus(n: int, p: int) -> CatalogEntry:
@@ -50,8 +46,7 @@ def torus(n: int, p: int) -> CatalogEntry:
     return CatalogEntry(
         name=f"torus{n}-gf{p}", algebra=alg,
         expected={"dim": n, "torus_dim": n, "h1_adjoint_dim": 0,
-                  "nilpotent": True},
-        provenance="split torus: abelian, x^[p] = x on a basis")
+                  "nilpotent": True})
 
 
 def one_dim_nil(p: int) -> CatalogEntry:
@@ -62,9 +57,7 @@ def one_dim_nil(p: int) -> CatalogEntry:
     return CatalogEntry(
         name=f"onedimnil-gf{p}", algebra=alg,
         expected={"dim": 1, "torus_dim": 0, "h1_adjoint_dim": 1,
-                  "nilpotent": True},
-        provenance="one-dimensional p-unipotent line: outer derivations exist "
-                   "but none of them is nilpotent")
+                  "nilpotent": True})
 
 
 def heisenberg(p: int, variant: Union[str, Sequence, np.ndarray] = "unipotent"
@@ -95,8 +88,7 @@ def heisenberg(p: int, variant: Union[str, Sequence, np.ndarray] = "unipotent"
     return CatalogEntry(
         name=f"heisenberg-gf{p}-{tag}", algebra=alg,
         expected={"dim": 3, "nilpotent": True, "center_dim": 1,
-                  "derived_dim": 1},
-        provenance="Heisenberg algebra with a central p-map")
+                  "derived_dim": 1})
 
 
 def two_dim_nonabelian(p: int) -> CatalogEntry:
@@ -107,8 +99,7 @@ def two_dim_nonabelian(p: int) -> CatalogEntry:
     alg = from_brackets(p, 2, {(0, 1): [0, 1]}, pmap=pmap, labels=["e", "f"])
     return CatalogEntry(
         name=f"twodim-nonabelian-gf{p}", algebra=alg,
-        expected={"dim": 2, "nilpotent": False},
-        provenance="two-dimensional non-abelian restricted algebra")
+        expected={"dim": 2, "nilpotent": False})
 
 
 def final_remark_algebra(p: int) -> CatalogEntry:
@@ -119,10 +110,7 @@ def final_remark_algebra(p: int) -> CatalogEntry:
     return CatalogEntry(
         name=f"nonnilpotent-counterexample-gf{p}", algebra=alg,
         expected={"dim": 3, "nilpotent": False, "h1_adjoint_dim": 0,
-                  "center_dim": 1},
-        provenance="non-nilpotent algebra with nonzero center and no outer "
-                   "restricted derivations: shows the nilpotency hypothesis "
-                   "is needed")
+                  "center_dim": 1})
 
 
 def named_entries(p: int) -> List[CatalogEntry]:
@@ -162,15 +150,6 @@ def _templates(dim: int) -> List[Tuple[str, Dict[Tuple[int, int], List[int]]]]:
             ("filiform4", {(0, 1): unit(2), (0, 2): unit(3)})]
 
 
-def _sc_tensor(dim: int, p: int, pairs: Dict[Tuple[int, int], List[int]]
-               ) -> np.ndarray:
-    sc = np.zeros((dim, dim, dim), dtype=np.int64)
-    for (i, j), v in pairs.items():
-        sc[i, j] = asmod(v, p)
-        sc[j, i] = (-sc[i, j]) % p
-    return sc
-
-
 def _pmap_candidates(sc: np.ndarray, p: int) -> Optional[List[List[np.ndarray]]]:
     """Per generator, the admissible p-map images sorted lexicographically;
     None when some generator has no admissible image (not restrictable)."""
@@ -195,29 +174,34 @@ def _pmap_candidates(sc: np.ndarray, p: int) -> Optional[List[List[np.ndarray]]]
     return cosets
 
 
+def default_dim_bound(p: int) -> int:
+    return 4 if p == 2 else 3
+
+
+def check_population(p: int, dim: int) -> None:
+    """The one rule for enumerated populations: p in {2, 3} and
+    1 <= dim <= default_dim_bound(p). Beyond it a population outgrows a list
+    (3^16 p-map tables at p = 3, dim = 4) and dedup's basis-change group
+    outgrows 2^16 elements."""
+    if p not in (2, 3) or not 1 <= dim <= default_dim_bound(p):
+        raise PreconditionError(
+            f"enumeration supports p in {{2, 3}} and 1 <= dim <= dim bound "
+            f"(4 for p = 2, 3 for p = 3), got p={p}, dim={dim}")
+
+
 def enumerate_nilpotent(p: int, dim: int, dedup: bool = False
                         ) -> Iterator[CatalogEntry]:
     """All restricted structures on the nilpotent bracket templates of the
     given dimension, in a fixed order (template table bytes, then p-map
     bytes). With dedup=True, one representative per orbit of the full basis
-    change group is emitted (tiny dimensions only)."""
-    check_prime(p)
-    if p not in (2, 3) or not 1 <= dim <= 4:
-        raise PreconditionError(
-            f"enumeration supports p in {{2, 3}} and 1 <= dim <= 4, "
-            f"got p={p}, dim={dim}")
-    if dedup:
-        group_size = p ** (dim * dim)
-        if group_size > DEDUP_GROUP_BUDGET:
-            raise BudgetExceededError(group_size, DEDUP_GROUP_BUDGET)
-        yield from _dedup(p, dim)
-        return
-    yield from _enumerate_raw(p, dim)
+    change group is emitted. Both obey check_population."""
+    check_population(p, dim)
+    yield from _dedup(p, dim) if dedup else _enumerate_raw(p, dim)
 
 
 def _enumerate_raw(p: int, dim: int) -> Iterator[CatalogEntry]:
     templates = sorted(
-        ((slug, _sc_tensor(dim, p, pairs)) for slug, pairs in _templates(dim)),
+        ((slug, _structure_constants(p, dim, pairs)) for slug, pairs in _templates(dim)),
         key=lambda t: t[1].tobytes())
     for slug, sc in templates:
         cosets = _pmap_candidates(sc, p)
@@ -231,8 +215,7 @@ def _enumerate_raw(p: int, dim: int) -> Iterator[CatalogEntry]:
         for k, pick in enumerate(picks):
             yield CatalogEntry(
                 name=f"gf{p}-d{dim}-{slug}-{k:06d}",
-                algebra=Alg(p, bracket, rows.take(pick, axis=0), validate=False),
-                provenance="enumerated nilpotent restricted structure")
+                algebra=Alg(p, bracket, rows.take(pick, axis=0), validate=False))
 
 
 def _certified_rows(slug: str, p: int, sc: np.ndarray,

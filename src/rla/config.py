@@ -1,4 +1,4 @@
-"""Runtime configuration: search budget, worker count and seed."""
+"""Runtime configuration: search budget and worker count."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from .linalg import DEFAULT_BUDGET
 class Config:
     search_budget: int = DEFAULT_BUDGET
     workers: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.search_budget < 1:

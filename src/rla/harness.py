@@ -17,8 +17,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .algebra import RestrictedLieAlgebra, _cached, quotient
-from .catalog import (CatalogEntry, enumerate_nilpotent, final_remark_algebra,
-                      torus)
+from .catalog import (CatalogEntry, check_population, default_dim_bound,
+                      enumerate_nilpotent, final_remark_algebra, torus)
 from .cohomology import find_p_complement, induced_module, is_free_over_unipotent
 from .config import Config
 from .derivations import (_iter_candidates, der_p, explicit_h1_char2_outer,
@@ -60,10 +60,6 @@ CLAIM_DESCRIPTIONS: Dict[str, str] = {
 }
 
 EXCEPTION_TAGS = ("torus", "dim-1", "h1-char-2")
-
-
-def default_dim_bound(p: int) -> int:
-    return 4 if p == 2 else 3
 
 
 def exception_tag(L: Alg) -> Optional[str]:
@@ -527,10 +523,7 @@ def _population(claim: str, p: Optional[int], dim_bound: Optional[int]
     bound = default_dim_bound(p) if dim_bound is None else dim_bound
     # checked before any generator is built: the enumerator checks its own
     # bounds only when first advanced, and a bound below 1 is a vacuous pass
-    if p not in (2, 3) or not 1 <= bound <= default_dim_bound(p):
-        raise PreconditionError(
-            f"enumerated populations need p in {{2, 3}} and 1 <= dim bound <= "
-            f"4 (p = 2) or 3 (p = 3), got p={p}, dim bound={bound}")
+    check_population(p, bound)
     desc = {"source": "enumerate_nilpotent", "p": p,
             "dims": list(range(1, bound + 1)), "filter": None}
     entries = _enumerated_entries(p, bound)

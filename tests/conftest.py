@@ -223,20 +223,22 @@ def brute_p_ideals(L):
     return ideals, center, torus
 
 
-def gl2_algebra(p):
-    """gl_2 over GF(p) with the matrix p-th power as p-map: an associative
-    algebra supplies an independent oracle for the p-power formula."""
-    mats = [np.zeros((2, 2), dtype=np.int64) for _ in range(4)]
-    for k, (r, c) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+def gl_algebra(p, n=2):
+    """gl_n over GF(p) on the matrix units e_rc (row-major), with the matrix
+    p-th power as p-map: an associative algebra supplies an independent oracle
+    for the p-power formula."""
+    cells = list(itertools.product(range(n), repeat=2))
+    mats = [np.zeros((n, n), dtype=np.int64) for _ in cells]
+    for k, (r, c) in enumerate(cells):
         mats[k][r, c] = 1
-    sc = np.zeros((4, 4, 4), dtype=np.int64)
-    pmap = np.zeros((4, 4), dtype=np.int64)
-    for i in range(4):
-        for j in range(4):
+    sc = np.zeros((n * n,) * 3, dtype=np.int64)
+    pmap = np.zeros((n * n, n * n), dtype=np.int64)
+    for i in range(n * n):
+        for j in range(n * n):
             sc[i, j] = ((mats[i] @ mats[j] - mats[j] @ mats[i]) % p).reshape(-1)
         pmap[i] = (np.linalg.matrix_power(mats[i], p) % p).reshape(-1)
     return rla.RestrictedLieAlgebra(p, sc, pmap,
-                                    labels=["e00", "e01", "e10", "e11"])
+                                    labels=[f"e{r}{c}" for r, c in cells])
 
 
 @pytest.fixture
@@ -256,4 +258,4 @@ def heis3():
 
 @pytest.fixture
 def rng():
-    return np.random.default_rng(rla.Config().seed)
+    return np.random.default_rng(0)

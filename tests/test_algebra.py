@@ -7,7 +7,7 @@ import rla
 from rla import (RestrictedLieAlgebra, Subspace, direct_product, from_brackets,
                  from_doc, quotient, to_doc, twist_pmap)
 
-from conftest import all_vectors, brk, gl2_algebra
+from conftest import all_vectors, brk, gl_algebra
 
 
 def test_bracket_vec_hand_values(heis2u):
@@ -41,6 +41,14 @@ def test_pmap_violation_named():
     assert "0" in str(exc.value)
 
 
+def test_from_brackets_rejects_bad_entries():
+    pmap = np.zeros((3, 3), dtype=np.int64)
+    for brackets in ({(1, 0): [0, 0, 1]}, {(0, 3): [0, 0, 1]},
+                     {(0, 1): [1]}, {(0, 1): [0, 1]}, {(0, 1): [0, 0, 0, 1]}):
+        with pytest.raises(ValueError, match="0 <= i < j < dim"):
+            from_brackets(2, 3, brackets, pmap=pmap, validate=False)
+
+
 def test_diagonal_brackets_rejected():
     sc = np.zeros((2, 2, 2), dtype=np.int64)
     sc[0, 0] = [0, 1]
@@ -58,17 +66,18 @@ def test_ppow_jacobson_correction(heis2u, heis2t):
 
 
 def test_ppow_against_matrix_powers():
+    # the Jacobson cross terms of every degree up to p - 1 against x^p in gl_n
     rng = np.random.default_rng(3)
-    for p in (2, 3, 5):
-        L = gl2_algebra(p)
+    for p, n in ((2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3)):
+        L = gl_algebra(p, n)
         for _ in range(60):
-            a = rng.integers(0, p, size=4)
-            expect = (np.linalg.matrix_power(a.reshape(2, 2), p) % p).reshape(-1)
+            a = rng.integers(0, p, size=n * n)
+            expect = (np.linalg.matrix_power(a.reshape(n, n), p) % p).reshape(-1)
             assert np.array_equal(L.ppow_vec(a), expect)
 
 
 def test_ad_of_ppow_is_ad_power(heis3):
-    for L in (heis3, gl2_algebra(3)):
+    for L in (heis3, gl_algebra(3)):
         for v in all_vectors(L.dim, L.p)[:40]:
             lhs = L.ad(L.ppow_vec(v))
             rhs = rla.mat_pow(L.ad(v), L.p, L.p)
@@ -216,16 +225,6 @@ def test_doc_rejects_booleans(heis2u, field):
     # JSON true/false decode to bool, which Python counts as an int
     with pytest.raises(rla.DocumentError):
         from_doc(_with_bool(to_doc(heis2u), field))
-
-
-def test_element_wrapper(heis2u):
-    x = heis2u.element([1, 0, 0])
-    y = heis2u.element([0, 1, 0])
-    assert isinstance(x, rla.Element)
-    assert x.bracket(y).coords.tolist() == [0, 0, 1]
-    assert x.ppow().is_zero()
-    assert (x + y).bracket(x).coords.tolist() == [0, 0, 1]
-    assert (2 * x).coords.tolist() == [0, 0, 0]
 
 
 def test_zero_dim_algebra_legal():

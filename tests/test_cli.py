@@ -1,5 +1,6 @@
 """End-to-end checks of the command line entry point (main called directly)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -283,8 +284,19 @@ def test_enumerate_to_file(capsys, tmp_path):
 
 
 def test_enumerate_bad_prime(capsys):
-    code, _, err = run(capsys, "enumerate", "--p", "5", "--dim", "2")
-    assert code == 2 and "enumeration supports" in err
+    # (3, 4) would list 3^16 p-map tables; a non-prime is refused the same way
+    for p, dim in (("5", "2"), ("3", "4"), ("4", "2")):
+        code, out, err = run(capsys, "enumerate", "--p", p, "--dim", dim)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "enumeration supports" in err
+        assert "dim bound" in err and "Traceback" not in err
+
+
+def test_enumerate_dedup_digest_pinned(capsys):
+    code, out, _ = run(capsys, "enumerate", "--p", "2", "--dim", "3", "--dedup")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a529c6e16de140d24852a0c6fb9f7c8f9f24e112dd2f056e116873c9c4366686")
 
 
 def test_catalog_list(capsys):

@@ -1,5 +1,6 @@
 """Claim populations, per-instance verdicts, and report serialization."""
 
+import ast
 import hashlib
 import itertools
 import json
@@ -202,13 +203,18 @@ def test_bracket_scan_masks_match_brute_force():
 
 
 # sha256 of verify_claim(*args).to_json(): a speed-up of the subspace scans,
-# the enumerator or a layer below them must leave the report bytes as they are
+# the enumerator, the p-power or a layer below them must leave the report
+# bytes as they are
 _REPORT_DIGESTS = [
     (("Prop-2.4", 2, 4), "497979368726cf76b8f592e9a799219a142ff5886b71163344b92be912844b0f"),
     (("Prop-2.4", 2, 3), "37b8631310040cbf6e2f62107e10b8a455c67a6527758edf3265f7ebce692926"),
     (("Lem-2.6", 2, 3), "e30447d5619382a01881328c2224a2b79c65c31b1e8117fe92dddcbbd2baf656"),
     (("Lem-2.6", 3, 2), "e8170d191688e0936f60a5cfe51c03c318f370aa83c6b71f304a098b08449532"),
     (("Prop-3.2",), "7f6d02cd43b36f2f3450edb3a6cb323c54303bf791b551ae6b0157c701186286"),
+    (("Thm-3.3", 2, 3), "f5ff8207fe1c0ee680862d93a3c125656ae21140e14e63279be2239af09ffca1"),
+    (("Cor-3.4", 2, 3), "773a2eef722929e44402e85a3faf410ef483799c8b599021c709288e5d6197f1"),
+    (("Prop-2.5-dimformula", 2, 3), "cccc21f67c2aacd4b6a8f8b4fb8f77c8acaa67a1187aa467c37632ca4fbb7865"),
+    (("Thm-3.6", 2, 3), "e81793963764a3228413aa0b966f570aeec3e9d0bd73619965a2aed4c792600d"),
 ]
 
 
@@ -298,6 +304,20 @@ def test_reports_identical_under_python_O():
     assert proc.returncode == 0, proc.stderr
     optimized = json.loads(proc.stdout)
     assert optimized == [verify_claim(*r).to_json() for r in _OPTIMIZED_RUNS]
+
+
+def test_no_assert_statements_in_the_library():
+    """The static side of the -O test above: no certification in src/rla
+    may rest on an assert statement."""
+    pkg = os.path.dirname(os.path.abspath(rla.__file__))
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_export_csv():
