@@ -220,11 +220,11 @@ def _structure_constants(p: int, dim: int,
 
 
 def from_brackets(p: int, dim: int, brackets: Dict[Tuple[int, int], Iterable[int]],
-                  pmap, labels: Optional[Sequence[str]] = None,
-                  validate: bool = True) -> RestrictedLieAlgebra:
+                  pmap, labels: Optional[Sequence[str]] = None
+                  ) -> RestrictedLieAlgebra:
     """Convenience constructor: brackets given only for i < j."""
     return RestrictedLieAlgebra(p, _structure_constants(p, dim, brackets), pmap,
-                                labels=labels, validate=validate)
+                                labels=labels)
 
 
 # -- quotients, products, twists ------------------------------------------
@@ -236,7 +236,6 @@ class Quotient:
     projection: np.ndarray   # (d, n): coordinates mod the ideal
     section: np.ndarray      # (n, d): transversal embedding
     ideal: Subspace
-    transversal: Tuple[int, ...]
 
 
 def quotient(L: RestrictedLieAlgebra, ideal: Subspace) -> Quotient:
@@ -267,7 +266,7 @@ def quotient(L: RestrictedLieAlgebra, ideal: Subspace) -> Quotient:
         pmap[a] = (proj @ L.ppow_vec(section[:, a])) % p
     labels = tuple(L.label(i) for i in transversal) if L.labels else None
     alg = RestrictedLieAlgebra(p, sc, pmap, labels=labels)
-    return Quotient(alg, proj, section, ideal, transversal)
+    return Quotient(alg, proj, section, ideal)
 
 
 def direct_product(a: RestrictedLieAlgebra, b: RestrictedLieAlgebra) -> RestrictedLieAlgebra:

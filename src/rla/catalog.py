@@ -21,7 +21,7 @@ from .algebra import (LieBracket, RestrictedLieAlgebra, _structure_constants,
                       direct_product, from_brackets)
 from .derivations import h1_adjoint_dim
 from .errors import CertificationError, PreconditionError
-from .linalg import asmod, check_prime, kernel, mat_pow, rref, solve
+from .linalg import asmod, check_prime, coeff_blocks, rref, solve
 from .structure import (center, derived, is_abelian, is_nilpotent,
                         lower_central_series, maximal_torus)
 
@@ -152,25 +152,20 @@ def _templates(dim: int) -> List[Tuple[str, Dict[Tuple[int, int], List[int]]]]:
 
 def _pmap_candidates(sc: np.ndarray, p: int) -> Optional[List[List[np.ndarray]]]:
     """Per generator, the admissible p-map images sorted lexicographically;
-    None when some generator has no admissible image (not restrictable)."""
+    None when some generator has no admissible image (not restrictable).
+    (ad x_i)^p and the center are read from the template's interned bracket,
+    where the certification of the rows finds them again."""
     n = sc.shape[0]
-    ad_basis = sc.transpose(0, 2, 1)
-    coeff = ad_basis.reshape(n, n * n).T  # columns: vec(ad x_t)
-    zen = kernel(coeff, p)
+    template = Alg(p, sc, np.zeros((n, n), dtype=np.int64), validate=False)
+    coeff = template.ad_basis.reshape(n, n * n).T  # columns: vec(ad x_t)
+    zen = center(template)
+    offsets = np.vstack(list(coeff_blocks(zen.dim, p))) @ zen.basis
     cosets: List[List[np.ndarray]] = []
-    for i in range(n):
-        target = mat_pow(ad_basis[i], p, p).reshape(-1)
-        part = solve(coeff, target, p)
+    for target in template.bracket.ad_power(p):
+        part = solve(coeff, target.reshape(-1), p)
         if part is None:
             return None
-        cands = []
-        for coeffs in iter_product(range(p), repeat=zen.dim):
-            v = part.copy()
-            if zen.dim:
-                v = (v + np.array(coeffs, dtype=np.int64) @ zen.basis) % p
-            cands.append(v)
-        cands.sort(key=lambda v: v.tobytes())
-        cosets.append(cands)
+        cosets.append(sorted((part + offsets) % p, key=lambda v: v.tobytes()))
     return cosets
 
 
@@ -238,12 +233,8 @@ def _certified_rows(slug: str, p: int, sc: np.ndarray,
 
 
 def _invertible_matrices(n: int, p: int) -> List[np.ndarray]:
-    mats = []
-    for flat in iter_product(range(p), repeat=n * n):
-        g = np.array(flat, dtype=np.int64).reshape(n, n)
-        if rref(g, p)[1] == n:
-            mats.append(g)
-    return mats
+    return [g for block in coeff_blocks(n * n, p)
+            for g in block.reshape(-1, n, n) if rref(g, p)[1] == n]
 
 
 def _transform(L: Alg, g: np.ndarray, ginv: np.ndarray

@@ -28,14 +28,13 @@ class RestrictedModule:
     """A restricted representation given by action matrices for each basis
     element of the acting algebra."""
 
-    def __init__(self, algebra: Alg, rho, validate: bool = True):
+    def __init__(self, algebra: Alg, rho):
         self.algebra = algebra
         self.rho = asmod(rho, algebra.p)
         if self.rho.ndim != 3 or self.rho.shape[0] != algebra.dim \
                 or self.rho.shape[1] != self.rho.shape[2]:
             raise ValueError("rho must be a (dim, m, m) stack")
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def mdim(self) -> int:
@@ -143,8 +142,6 @@ class Cochain:
     values: Subspace            # coordinate reference in the big algebra
     quotient: Quotient
     module: RestrictedModule
-    is_cocycle: bool
-    is_coboundary: bool
 
 
 def induced_module(L: Alg, q: Quotient, w: Subspace) -> RestrictedModule:
@@ -185,24 +182,24 @@ def gamma_nontrivial(L: Alg, ideal: Subspace, j: Subspace) -> Optional[Cochain]:
     mc = induced_module(L, q, cent)
     embed = np.stack([cent.coords_of(row) for row in j.basis])  # (dim j, dim cent)
     bc = b1(q.algebra, mc)
-    zj = z1(q.algebra, mj)
-    bj = b1(q.algebra, mj)
-    for row in zj.basis:
+    for row in z1(q.algebra, mj).basis:
         w = row.reshape(mj.mdim, q.algebra.dim)
         wc = (embed.T @ w) % L.p
         if not bc.contains_vector(wc.reshape(-1)):
-            return Cochain(matrix=w, values=j, quotient=q, module=mj,
-                           is_cocycle=True, is_coboundary=bj.contains_vector(row))
+            return Cochain(matrix=w, values=j, quotient=q, module=mj)
     return None
 
 
 def lift_cocycle(L: Alg, ideal: Subspace, cochain: Cochain,
                  j: Optional[Subspace] = None) -> Derivation:
     """Pull a quotient cocycle back to a square-zero restricted derivation of L
-    via the quotient projection. Certifies every property and aborts on any
-    failure rather than returning an uncertified witness."""
+    via the projection of the quotient the cochain carries, which must be by
+    this ideal. Certifies every property and aborts on any failure rather
+    than returning an uncertified witness."""
     j = j if j is not None else cochain.values
-    q = quotient(L, ideal)
+    q = cochain.quotient
+    if q.ideal != ideal:
+        raise PreconditionError("cochain lives on the quotient by another ideal")
     if cochain.matrix.shape != (cochain.values.dim, q.algebra.dim):
         raise PreconditionError("cochain shape does not match the quotient")
     vals = (cochain.values.basis.T @ cochain.matrix) % L.p  # columns in ambient coords

@@ -20,7 +20,7 @@ from .errors import (BudgetExceededError, CertificationError,
                      NotADerivationError, PreconditionError)
 from .linalg import (DEFAULT_BUDGET, Subspace, asmod, coeff_blocks, kernel,
                      mat_pow, solve)
-from .structure import (center, centralizer, codim1_max_p_ideals, derived,
+from .structure import (center, centralizer, codim1_max_p_ideals,
                         bracket_space, is_abelian, is_nilpotent, is_p_ideal,
                         maximal_abelian_p_ideal, maximal_torus)
 

@@ -25,7 +25,7 @@ from .derivations import (_iter_candidates, der_p, explicit_h1_char2_outer,
                           find_nilpotent_outer, find_square_zero_outer,
                           h1_adjoint_dim, inner)
 from .errors import BudgetExceededError, CertificationError, PreconditionError
-from .linalg import Subspace, enumerate_subspaces, mat_pow
+from .linalg import Subspace, check_prime, enumerate_subspaces, mat_pow
 from .structure import (center, centralizer, is_abelian, is_nilpotent,
                         maximal_abelian_p_ideal, maximal_torus)
 
@@ -59,8 +59,6 @@ CLAIM_DESCRIPTIONS: Dict[str, str] = {
                              "cannot be dropped",
 }
 
-EXCEPTION_TAGS = ("torus", "dim-1", "h1-char-2")
-
 
 def exception_tag(L: Alg) -> Optional[str]:
     """Classify a nilpotent algebra against the exclusion list of the main
@@ -79,20 +77,6 @@ def exception_tag(L: Alg) -> Optional[str]:
 # -- report types ------------------------------------------------------------
 
 
-def _plain(value):
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
-
-
 @dataclass(slots=True)
 class InstanceResult:
     algebra_id: str
@@ -102,13 +86,7 @@ class InstanceResult:
 
     def to_dict(self) -> Dict[str, object]:
         return {"algebra_id": self.algebra_id, "verdict": self.verdict,
-                "witness": _plain(self.witness),
-                "invariants": _plain(self.invariants)}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "InstanceResult":
-        return cls(algebra_id=d["algebra_id"], verdict=d["verdict"],
-                   witness=d.get("witness"), invariants=d.get("invariants", {}))
+                "witness": self.witness, "invariants": self.invariants}
 
 
 @dataclass
@@ -119,9 +97,9 @@ class TheoremReport:
     summary: Dict[str, int]
 
     def to_dict(self) -> Dict[str, object]:
-        return {"claim": self.claim, "population": _plain(self.population),
+        return {"claim": self.claim, "population": self.population,
                 "instances": [r.to_dict() for r in self.instances],
-                "summary": _plain(self.summary)}
+                "summary": self.summary}
 
     def to_json(self) -> str:
         """The bytes of json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -136,14 +114,14 @@ class TheoremReport:
         for k, r in enumerate(self.instances):
             buf.write(("," if k else "") + "\n    " + enc(r.to_dict(), 2))
         buf.write("\n  ]" if self.instances else "]")
-        buf.write(',\n  "population": ' + enc(_plain(self.population), 1))
-        buf.write(',\n  "summary": ' + enc(_plain(self.summary), 1) + "\n}\n")
+        buf.write(',\n  "population": ' + enc(self.population, 1))
+        buf.write(',\n  "summary": ' + enc(self.summary, 1) + "\n}\n")
         return buf.getvalue()
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "TheoremReport":
         return cls(claim=d["claim"], population=d["population"],
-                   instances=[InstanceResult.from_dict(r) for r in d["instances"]],
+                   instances=[InstanceResult(**r) for r in d["instances"]],
                    summary=d["summary"])
 
     @classmethod
@@ -173,8 +151,8 @@ def export_csv(report: TheoremReport) -> str:
     for r in report.instances:
         w.writerow([
             report.claim, r.algebra_id, r.verdict,
-            json.dumps(_plain(r.witness)) if r.witness is not None else "",
-            json.dumps(_plain(r.invariants), sort_keys=True),
+            json.dumps(r.witness) if r.witness is not None else "",
+            json.dumps(r.invariants, sort_keys=True),
         ])
     return buf.getvalue()
 
@@ -501,14 +479,14 @@ def _population(claim: str, p: Optional[int], dim_bound: Optional[int]
                                            "Remark-counterexample"):
         raise PreconditionError(f"{claim} has a fixed population and takes no "
                                 f"dim bound, got dim bound={dim_bound}")
-    if claim == "Prop-3.1":
-        primes = [p] if p else [2, 3, 5]
-        entries = [torus(n, q) for q in primes for n in (1, 2, 3)]
-        desc = {"source": "catalog", "names": [e.name for e in entries]}
-        return iter(entries), desc
-    if claim == "Remark-counterexample":
-        primes = [p] if p else [2, 3, 5]
-        entries = [final_remark_algebra(q) for q in primes]
+    if claim in ("Prop-3.1", "Remark-counterexample"):
+        try:  # None means the default primes; anything else must be a prime
+            primes = [2, 3, 5] if p is None else [check_prime(p)]
+        except ValueError as exc:
+            raise PreconditionError(str(exc)) from None
+        entries = ([torus(n, q) for q in primes for n in (1, 2, 3)]
+                   if claim == "Prop-3.1"
+                   else [final_remark_algebra(q) for q in primes])
         desc = {"source": "catalog", "names": [e.name for e in entries]}
         return iter(entries), desc
     if claim == "Prop-3.2":
@@ -542,11 +520,11 @@ def _check(claim: str, L: Alg, algebra_id: str, budget: int) -> InstanceResult:
                               invariants={"needed": e.needed, "budget": e.budget})
 
 
-def _instance_job(args) -> Dict[str, object]:
+def _instance_job(args) -> InstanceResult:
     claim, algebra_id, p, sc, pmap, budget = args
     L = Alg(p, np.array(sc, dtype=np.int64), np.array(pmap, dtype=np.int64),
             validate=False)
-    return _check(claim, L, algebra_id, budget).to_dict()
+    return _check(claim, L, algebra_id, budget)
 
 
 def _run_instances(claim: str, entries: Iterator[CatalogEntry],
@@ -557,8 +535,7 @@ def _run_instances(claim: str, entries: Iterator[CatalogEntry],
     jobs = ((claim, e.name, e.algebra.p, e.algebra.sc.tolist(),
              e.algebra.pmap.tolist(), budget) for e in entries)
     with ProcessPoolExecutor(max_workers=config.workers) as ex:
-        dicts = list(ex.map(_instance_job, jobs, chunksize=64))
-    return [InstanceResult.from_dict(d) for d in dicts]
+        return list(ex.map(_instance_job, jobs, chunksize=64))
 
 
 def verify_claim(claim: str, p: Optional[int] = None,

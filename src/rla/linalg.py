@@ -237,25 +237,11 @@ def complements(s: Subspace, budget: int = DEFAULT_BUDGET) -> Iterator[Subspace]
     count = p ** (k * d)
     if count > budget:
         raise BudgetExceededError(count, budget)
-    free = s.non_pivot_indices()
-    transversal = np.zeros((d, n), dtype=np.int64)
-    for i, f in enumerate(free):
-        transversal[i, f] = 1
-    if k == 0 or d == 0:
-        yield Subspace.from_rows(transversal, p, n)
-        return
-    for idx in range(count):
-        phi = _digits(idx, p, d * k).reshape(d, k)
-        rows = (transversal + phi @ s.basis) % p
-        yield Subspace.from_rows(rows, p, n)
-
-
-def _digits(value: int, p: int, width: int) -> np.ndarray:
-    out = np.zeros(width, dtype=np.int64)
-    for i in range(width - 1, -1, -1):
-        out[i] = value % p
-        value //= p
-    return out
+    transversal = np.eye(n, dtype=np.int64)[s.non_pivot_indices()]
+    for block in coeff_blocks(d * k, p):
+        for phi in block:
+            rows = (transversal + phi.reshape(d, k) @ s.basis) % p
+            yield Subspace.from_rows(rows, p, n)
 
 
 def coeff_blocks(num_vars: int, p: int, block: int = 4096) -> Iterator[np.ndarray]:
@@ -285,14 +271,13 @@ def enumerate_subspaces(ambient_dim: int, p: int,
             yield Subspace.zero(n, p)
             continue
         for pivots in combinations(range(n), k):
-            free_pos = [(r, c) for r in range(k) for c in range(pivots[r] + 1, n)
-                        if c not in pivots]
-            for idx in range(p ** len(free_pos)):
-                fill = _digits(idx, p, len(free_pos))
-                basis = np.zeros((k, n), dtype=np.int64)
-                for r, c in enumerate(pivots):
-                    basis[r, c] = 1
-                for (r, c), v in zip(free_pos, fill):
-                    basis[r, c] = v
-                # the basis is in RREF by construction
-                yield Subspace(basis, p, n, pivots)
+            # free entries: right of the row's pivot, outside pivot columns
+            free = np.arange(n) > np.array(pivots)[:, None]
+            free[:, pivots] = False
+            for block in coeff_blocks(int(free.sum()), p):
+                # each basis is in RREF by construction
+                bases = np.zeros((len(block), k, n), dtype=np.int64)
+                bases[:, range(k), pivots] = 1
+                bases[:, free] = block
+                for basis in bases:
+                    yield Subspace(basis, p, n, pivots)

@@ -201,16 +201,11 @@ def codim1_max_p_ideals(L: Alg) -> List[Subspace]:
     if phi.dim == n:
         raise CertificationError(
             "no proper ideal candidate: contradicts codimension-one maximality")
+    # independent annihilator rows: distinct projective points give distinct
+    # functionals up to scale, so distinct kernels
     ann = phi.annihilator()
-    out = []
-    seen = set()
-    for combo in _projective_rows(ann.shape[0], p):
-        functional = (combo @ ann) % p
-        h = kernel(functional[None, :], p)
-        if h not in seen:
-            seen.add(h)
-            out.append(h)
-    return out
+    return [kernel(((combo @ ann) % p)[None, :], p)
+            for combo in _projective_rows(ann.shape[0], p)]
 
 
 def _projective_rows(m: int, p: int):

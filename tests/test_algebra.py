@@ -46,7 +46,7 @@ def test_from_brackets_rejects_bad_entries():
     for brackets in ({(1, 0): [0, 0, 1]}, {(0, 3): [0, 0, 1]},
                      {(0, 1): [1]}, {(0, 1): [0, 1]}, {(0, 1): [0, 0, 0, 1]}):
         with pytest.raises(ValueError, match="0 <= i < j < dim"):
-            from_brackets(2, 3, brackets, pmap=pmap, validate=False)
+            from_brackets(2, 3, brackets, pmap=pmap)
 
 
 def test_diagonal_brackets_rejected():

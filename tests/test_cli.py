@@ -254,6 +254,15 @@ def test_verify_claim_precondition(capsys):
         assert "Traceback" not in err
 
 
+def test_verify_catalog_claim_bad_prime(capsys):
+    for claim in ("Prop-3.1", "Remark-counterexample"):
+        for p in ("0", "4"):
+            code, out, err = run(capsys, "verify", "--claim", claim, "--p", p)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "prime" in err
+            assert "Traceback" not in err
+
+
 def test_verify_failure_exit(capsys, monkeypatch):
     rows = [InstanceResult("x", "fail", invariants={"reason": "made up"})]
     fake = TheoremReport(claim="Thm-3.3", population={"count": 1},
@@ -293,10 +302,12 @@ def test_enumerate_bad_prime(capsys):
 
 
 def test_enumerate_dedup_digest_pinned(capsys):
-    code, out, _ = run(capsys, "enumerate", "--p", "2", "--dim", "3", "--dedup")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "a529c6e16de140d24852a0c6fb9f7c8f9f24e112dd2f056e116873c9c4366686")
+    for p, dim, digest in (
+            ("2", "3", "a529c6e16de140d24852a0c6fb9f7c8f9f24e112dd2f056e116873c9c4366686"),
+            ("3", "2", "99a377b9822c46c43a32980cfc4126dde11988a7cbd911cd0bcf7a0f79f34f34")):
+        code, out, _ = run(capsys, "enumerate", "--p", p, "--dim", dim, "--dedup")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_catalog_list(capsys):

@@ -185,7 +185,10 @@ def test_gamma_witness_for_odd_heisenberg(heis3):
     a = Subspace.from_rows(np.array([[1, 0, 0], [0, 0, 1]]), 3, 3)
     c = rla.gamma_nontrivial(heis3, a, a)
     assert c is not None
-    assert c.is_cocycle and not c.is_coboundary
+    # a restricted cocycle of the quotient with values in a, not a coboundary
+    vec = c.matrix.reshape(-1)
+    assert rla.z1(c.quotient.algebra, c.module).contains_vector(vec)
+    assert not rla.b1(c.quotient.algebra, c.module).contains_vector(vec)
     d = rla.lift_cocycle(heis3, a, c)
     assert d.is_restricted and d.is_square_zero and not d.is_inner
     assert not (d.matrix @ a.basis.T % 3).any()
@@ -214,12 +217,18 @@ def test_lift_cocycle_guards(heis3):
     a = Subspace.from_rows(np.array([[1, 0, 0], [0, 0, 1]]), 3, 3)
     c = rla.gamma_nontrivial(heis3, a, a)
     bad = Cochain(matrix=np.zeros((3, 1), dtype=np.int64), values=a,
-                  quotient=c.quotient, module=c.module,
-                  is_cocycle=True, is_coboundary=False)
+                  quotient=c.quotient, module=c.module)
     with pytest.raises(PreconditionError, match="shape"):
         rla.lift_cocycle(heis3, a, bad)
     with pytest.raises(PreconditionError, match="outside"):
         rla.lift_cocycle(heis3, a, c, j=rla.center(heis3))
+    # the cochain lives on L/a: another p-ideal, even one of the same
+    # dimension, has another projection
+    b = Subspace.from_rows(np.array([[0, 1, 0], [0, 0, 1]]), 3, 3)
+    assert rla.is_p_ideal(heis3, b)
+    for other in (b, rla.center(heis3)):
+        with pytest.raises(PreconditionError, match="another ideal"):
+            rla.lift_cocycle(heis3, other, c)
 
 
 def test_p_complement_heisenberg(heis2u):

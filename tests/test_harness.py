@@ -29,6 +29,20 @@ def test_exception_tags(heis2u, heis3):
     assert exception_tag(abelian2) is None
 
 
+def test_catalog_claims_refuse_a_bad_prime(monkeypatch):
+    """None means the default primes 2, 3, 5; any other p must be a prime,
+    checked before any algebra of the population is built."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("population built before its prime was checked")
+
+    monkeypatch.setattr("rla.harness.torus", no_build)
+    monkeypatch.setattr("rla.harness.final_remark_algebra", no_build)
+    for claim in ("Prop-3.1", "Remark-counterexample"):
+        for p in (0, 4, 9, -3):
+            with pytest.raises(PreconditionError, match="prime"):
+                verify_claim(claim, p)
+
+
 def test_default_dim_bound():
     assert rla.default_dim_bound(2) == 4
     assert rla.default_dim_bound(3) == 3
@@ -317,6 +331,54 @@ def test_no_assert_statements_in_the_library():
                 tree = ast.parse(fh.read(), filename=name)
             found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+# sha256 of export_csv(verify_claim(*args)): the CSV encodes witnesses and
+# invariants apart from to_json
+_CSV_DIGESTS = [
+    (("Thm-3.3", 2, 3), "1db368ff0f3716340a229ae8e899bf2daa1ed868b8ca3ef1f8313f115526f748"),
+    (("Prop-2.5-dimformula", 2, 3), "89a549aa5516f7c188d825a4a7efe031c61145465628e673d03a5e82525d345b"),
+]
+
+
+@pytest.mark.parametrize("args,digest", [
+    pytest.param(args, digest, id="-".join(map(str, args)))
+    for args, digest in _CSV_DIGESTS])
+def test_csv_digests_pinned(args, digest):
+    text = export_csv(verify_claim(*args))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_no_unused_imports_in_the_library():
+    """A module-level import in src/rla that its module never reads is a
+    leftover of a deletion; names in quoted annotations count as reads.
+    __init__.py imports to re-export."""
+    pkg = os.path.dirname(os.path.abspath(rla.__file__))
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if alias.name != "annotations":  # from __future__
+                        bound = alias.asname or alias.name.split(".")[0]
+                        imported[bound] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        annotations = [a for node in ast.walk(tree) for a in (
+            [node.annotation] if isinstance(node, (ast.arg, ast.AnnAssign))
+            else [node.returns] if isinstance(node, ast.FunctionDef) else []) if a]
+        for ann in annotations:  # quoted ones such as "Subspace"
+            for node in ast.walk(ann):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read |= {n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                             if isinstance(n, ast.Name)}
+        found += [f"{name}:{line}: {bound}" for bound, line in imported.items()
+                  if bound not in read]
     assert found == []
 
 

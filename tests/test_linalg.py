@@ -106,6 +106,25 @@ def test_complements_of_plane_in_gf2_cube():
     assert len(lines) == 4
 
 
+def test_complements_of_zero_and_full_space():
+    for p, n in ((2, 3), (3, 2)):
+        assert list(complements(Subspace.zero(n, p))) == [Subspace.full(n, p)]
+        assert list(complements(Subspace.full(n, p))) == [Subspace.zero(n, p)]
+
+
+@pytest.mark.parametrize("n,k,p", [(3, 1, 2), (3, 2, 2), (4, 2, 2),
+                                   (3, 1, 3), (3, 2, 3), (2, 1, 5)])
+def test_complements_count_and_distinct(n, k, p):
+    """A k-dimensional subspace of GF(p)^n has p^(k(n-k)) complements."""
+    subs = list(enumerate_subspaces(n, p, [k]))
+    for s in (subs[0], subs[len(subs) // 2], subs[-1]):
+        comps = list(complements(s))
+        assert len(comps) == len(set(comps)) == p ** (k * (n - k))
+        for c in comps:
+            assert c.dim == n - k and s.sum(c).dim == n
+            assert s.intersection(c).dim == 0
+
+
 def test_complements_budget():
     plane = Subspace.from_rows(np.eye(4, dtype=np.int64)[:2], 5, 4)
     with pytest.raises(rla.BudgetExceededError):

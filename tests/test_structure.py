@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,23 @@ def test_codim1_max_p_ideals(heis2u, heis2t, heis3):
             assert i.dim == 2
             assert rla.is_p_ideal(L, i)
             assert i.contains(torus)
+    # the hyperplanes over derived + torus + p-map images are pairwise
+    # distinct, one per projective point of GF(p)^m, m their codimension
+    enumerated = [e.algebra for p, n, step in ((2, 3, 23), (2, 4, 4999),
+                                               (3, 2, 7), (3, 3, 997))
+                  for e in itertools.islice(rla.enumerate_nilpotent(p, n), 0, None, step)]
+    checked = 0
+    for L in [heis2u, heis2t, heis3] + enumerated:
+        torus = rla.maximal_torus(L)
+        if torus.dim == L.dim:
+            continue
+        rows = np.vstack([rla.derived(L).basis, torus.basis, L.pmap])
+        m = L.dim - Subspace.from_rows(rows, L.p, L.dim).dim
+        ideals = rla.codim1_max_p_ideals(L)
+        assert len(ideals) == len(set(ideals)) == (L.p ** m - 1) // (L.p - 1)
+        assert all(h.dim == L.dim - 1 for h in ideals)
+        checked += 1
+    assert checked >= 10
     with pytest.raises(rla.PreconditionError):
         rla.codim1_max_p_ideals(rla.torus(2, 2).algebra)
     with pytest.raises(rla.PreconditionError):
