@@ -209,7 +209,8 @@ def _structure_constants(p: int, dim: int,
     """The sc tensor of the brackets [x_i, x_j] = v given for i < j."""
     sc = np.zeros((dim, dim, dim), dtype=np.int64)
     for (i, j), v in brackets.items():
-        vec = asmod(list(v), p)
+        # reduced as Python ints: an entry beyond int64 would overflow numpy
+        vec = np.array([int(x) % p for x in v], dtype=np.int64)
         # a short v would broadcast into sc[i, j] rather than fail
         if not 0 <= i < j < dim or vec.shape != (dim,):
             raise ValueError(f"bracket ({i}, {j}) needs 0 <= i < j < dim and a "
@@ -367,7 +368,8 @@ def from_doc(doc: dict) -> RestrictedLieAlgebra:
     if any(not _is_int(x) for row in pmap for x in row):
         raise DocumentError("pmap entries must be integers")
     return RestrictedLieAlgebra(p, _structure_constants(p, dim, brackets),
-                                asmod(pmap, p).reshape(dim, dim),
+                                np.array([[x % p for x in row] for row in pmap],
+                                         dtype=np.int64).reshape(dim, dim),
                                 labels=labels)
 
 

@@ -52,8 +52,11 @@ def _positive_int(text: str) -> int:
 
 
 def _load_algebra(path: str) -> RestrictedLieAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise DocumentError(f"{path} is not a readable JSON document: {exc}") from exc
     return from_doc(doc)
 
 
@@ -98,9 +101,7 @@ def _print_search(name: str, L: RestrictedLieAlgebra,
 
 
 def cmd_check(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    L = from_doc(doc)
+    L = _load_algebra(args.file)
     labels = ", ".join(L.label(i) for i in range(L.dim))
     print(f"valid: p={L.p} dim={L.dim} basis=[{labels}]")
     return EXIT_OK

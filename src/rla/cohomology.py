@@ -94,10 +94,7 @@ def h1_dim(L: Alg, M: RestrictedModule) -> int:
 
 def invariants(L: Alg, M: RestrictedModule) -> Subspace:
     """Joint kernel of the action: {m : x.m = 0 for all x}."""
-    d, m = L.dim, M.mdim
-    if d == 0 or m == 0:
-        return Subspace.full(m, L.p)
-    return kernel(M.rho.reshape(d * m, m), L.p)
+    return kernel(M.rho.reshape(L.dim * M.mdim, M.mdim), L.p)
 
 
 def socle_unipotent(N: Alg, M: RestrictedModule) -> Subspace:
@@ -118,11 +115,7 @@ def is_free_over_unipotent(N: Alg, M: RestrictedModule) -> Tuple[bool, int]:
     if not is_p_unipotent(N):
         raise PreconditionError("freeness criterion requires a p-unipotent algebra")
     m, p = M.mdim, N.p
-    if N.dim:
-        rad = Subspace.from_rows(
-            np.vstack([M.rho[t].T for t in range(N.dim)]), p, m)
-    else:
-        rad = Subspace.zero(m, p)
+    rad = Subspace.from_rows(M.rho.transpose(0, 2, 1).reshape(N.dim * m, m), p, m)
     rank = m - rad.dim
     free = m == rank * p ** N.dim
     if free and invariants(N, M).dim != rank:
@@ -190,32 +183,27 @@ def gamma_nontrivial(L: Alg, ideal: Subspace, j: Subspace) -> Optional[Cochain]:
     return None
 
 
-def lift_cocycle(L: Alg, ideal: Subspace, cochain: Cochain,
-                 j: Optional[Subspace] = None) -> Derivation:
+def lift_cocycle(L: Alg, ideal: Subspace, cochain: Cochain) -> Derivation:
     """Pull a quotient cocycle back to a square-zero restricted derivation of L
     via the projection of the quotient the cochain carries, which must be by
     this ideal. Certifies every property and aborts on any failure rather
     than returning an uncertified witness."""
-    j = j if j is not None else cochain.values
     q = cochain.quotient
     if q.ideal != ideal:
         raise PreconditionError("cochain lives on the quotient by another ideal")
     if cochain.matrix.shape != (cochain.values.dim, q.algebra.dim):
         raise PreconditionError("cochain shape does not match the quotient")
     vals = (cochain.values.basis.T @ cochain.matrix) % L.p  # columns in ambient coords
-    for t in range(vals.shape[1]):
-        if not j.contains_vector(vals[:, t]):
-            raise PreconditionError("cochain valued outside the target ideal")
     matrix = (vals @ q.projection) % L.p
     d = Derivation(L, matrix)  # Leibniz certified here
     if not d.is_restricted:
         raise CertificationError("lifted cochain is not a restricted derivation")
     if not d.is_square_zero:
         raise CertificationError("lifted cochain does not square to zero")
-    if ideal.dim and ((matrix @ ideal.basis.T) % L.p).any():
+    if ((matrix @ ideal.basis.T) % L.p).any():
         raise CertificationError("lifted cochain does not vanish on the ideal")
     image = Subspace.from_rows(matrix.T, L.p, L.dim)
-    if not j.contains(image):
+    if not cochain.values.contains(image):
         raise CertificationError("lifted cochain has values outside the target ideal")
     return d
 

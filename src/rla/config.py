@@ -24,11 +24,11 @@ class Config:
 _ENV_FIELDS = (("RLA_BUDGET", "search_budget"), ("RLA_WORKERS", "workers"))
 
 
-def from_env(base: Config = Config()) -> Config:
-    """Apply RLA_BUDGET and RLA_WORKERS overrides; explicit flags should be
-    applied by the caller afterwards so that flags win over the environment.
-    A value that is not a valid setting raises ConfigError."""
-    cfg = base
+def from_env() -> Config:
+    """The default Config with RLA_BUDGET and RLA_WORKERS overrides; explicit
+    flags should be applied by the caller afterwards so that flags win over
+    the environment. A value that is not a valid setting raises ConfigError."""
+    cfg = Config()
     for var, name in _ENV_FIELDS:
         text = os.environ.get(var)
         if text is None:

@@ -87,8 +87,7 @@ class Derivation:
 
     @property
     def is_nilpotent(self) -> bool:
-        n = self.algebra.dim
-        return n == 0 or not mat_pow(self.matrix, n, self.algebra.p).any()
+        return not mat_pow(self.matrix, self.algebra.dim, self.algebra.p).any()
 
     def __repr__(self) -> str:
         return f"Derivation(p={self.algebra.p}, dim={self.algebra.dim})"
@@ -175,7 +174,7 @@ def outer_by_centralizer_criterion(L: Alg, ideal: Subspace, d: Derivation) -> bo
     [L, centralizer(ideal)]."""
     if not is_p_ideal(L, ideal):
         raise PreconditionError("criterion requires a p-ideal")
-    if ideal.dim and ((d.matrix @ ideal.basis.T) % L.p).any():
+    if ((d.matrix @ ideal.basis.T) % L.p).any():
         raise PreconditionError("criterion requires the ideal inside ker(D)")
     image = Subspace.from_rows(d.matrix.T, L.p, L.dim)
     cent = centralizer(L, ideal)
@@ -287,7 +286,7 @@ def find_square_zero_outer(L: Alg, budget: int = DEFAULT_BUDGET) -> Optional[Der
     if not is_nilpotent(L):
         raise PreconditionError("find_square_zero_outer requires a nilpotent algebra")
     n = L.dim
-    if n and maximal_torus(L).dim < n:
+    if maximal_torus(L).dim < n:
         for ideal in codim1_max_p_ideals(L):
             d = _case_witness(L, ideal)
             if d is not None:
@@ -307,11 +306,10 @@ def find_square_zero_outer(L: Alg, budget: int = DEFAULT_BUDGET) -> Optional[Der
 def find_nilpotent_outer(L: Alg, budget: int = DEFAULT_BUDGET) -> Optional[Derivation]:
     """First nilpotent outer restricted derivation in scan order, or None
     after a complete scan of der_p."""
-    n = L.dim
     if h1_adjoint_dim(L) == 0:
         return None
     # D^n = 0 for a nilpotent D, and 2^squarings >= n
-    d = _first_outer(L, budget, max(1, int(np.ceil(np.log2(n)))) if n > 1 else 0)
+    d = _first_outer(L, budget, max(1, (L.dim - 1).bit_length()))
     if d is not None and not (d.is_restricted and d.is_nilpotent and not d.is_inner):
         raise CertificationError("nilpotent witness failed certification")
     return d

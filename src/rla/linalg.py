@@ -193,8 +193,8 @@ class Subspace:
     def coords_of(self, v) -> np.ndarray:
         """Coefficients c with c @ basis = v; PreconditionError if v is outside."""
         w = asmod(v, self.p)
-        c = w[list(self.pivots)] if self.pivots else np.zeros(0, dtype=np.int64)
-        if not np.array_equal((c @ self.basis) % self.p if self.dim else np.zeros_like(w), w):
+        c = w[list(self.pivots)]
+        if not np.array_equal((c @ self.basis) % self.p, w):
             raise PreconditionError("vector lies outside the subspace")
         return c
 
@@ -204,8 +204,6 @@ class Subspace:
 
     def intersection(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim, self.p)
         stacked = np.hstack([self.basis.T, (-other.basis.T) % self.p])
         ker = kernel(stacked, self.p)
         vecs = (ker.basis[:, : self.dim] @ self.basis) % self.p
@@ -213,8 +211,6 @@ class Subspace:
 
     def annihilator(self) -> np.ndarray:
         """Rows w with w . s = 0 for all s in the subspace; kernel of it is self."""
-        if self.dim == 0:
-            return np.eye(self.ambient_dim, dtype=np.int64)
         return kernel(self.basis, self.p).basis
 
     def non_pivot_indices(self) -> List[int]:
@@ -247,9 +243,6 @@ def complements(s: Subspace, budget: int = DEFAULT_BUDGET) -> Iterator[Subspace]
 def coeff_blocks(num_vars: int, p: int, block: int = 4096) -> Iterator[np.ndarray]:
     """Enumerate GF(p)^num_vars in lexicographic order as stacked digit blocks."""
     total = p ** num_vars
-    if num_vars == 0:
-        yield np.zeros((1, 0), dtype=np.int64)
-        return
     powers = p ** np.arange(num_vars - 1, -1, -1, dtype=np.int64)
     start = 0
     while start < total:
@@ -267,9 +260,6 @@ def enumerate_subspaces(ambient_dim: int, p: int,
     n = ambient_dim
     wanted = range(n + 1) if dims is None else sorted(set(dims))
     for k in wanted:
-        if k == 0:
-            yield Subspace.zero(n, p)
-            continue
         for pivots in combinations(range(n), k):
             # free entries: right of the row's pivot, outside pivot columns
             free = np.arange(n) > np.array(pivots)[:, None]

@@ -21,20 +21,17 @@ def center(L: Alg) -> Subspace:
 
 def centralizer(L: Alg, s: Subspace) -> Subspace:
     _check_space(L, s)
-    if s.dim == 0:
-        return Subspace.full(L.dim, L.p)
-    rows = np.vstack([L.ad(b) for b in s.basis])
-    return kernel(rows, L.p)
+    n = L.dim
+    rows = np.einsum("bi,ikj->bkj", s.basis, L.ad_basis)
+    return kernel(rows.reshape(s.dim * n, n), L.p)
 
 
 def normalizer(L: Alg, s: Subspace) -> Subspace:
     """{x : [x, s] in s for all s in the subspace}."""
     _check_space(L, s)
-    if s.dim == 0 or s.dim == L.dim:
-        return Subspace.full(L.dim, L.p)
     ann = s.annihilator()
-    rows = np.vstack([(ann @ L.ad(b)) % L.p for b in s.basis])
-    return kernel(rows, L.p)
+    rows = np.einsum("qk,bi,ikj->bqj", ann, s.basis, L.ad_basis)
+    return kernel(rows.reshape(s.dim * ann.shape[0], L.dim), L.p)
 
 
 def derived(L: Alg) -> Subspace:
@@ -47,10 +44,8 @@ def bracket_space(L: Alg, s: Subspace, t: Subspace) -> Subspace:
     """Span of [a, b] over basis pairs a in s, b in t."""
     _check_space(L, s)
     _check_space(L, t)
-    if s.dim == 0 or t.dim == 0:
-        return Subspace.zero(L.dim, L.p)
     rows = [L.bracket_vec(a, b) for a in s.basis for b in t.basis]
-    return Subspace.from_rows(np.array(rows), L.p, L.dim)
+    return Subspace.from_rows(rows, L.p, L.dim)
 
 
 def lower_central_series(L: Alg) -> Tuple[Subspace, ...]:
@@ -139,8 +134,6 @@ def maximal_torus(L: Alg) -> Subspace:
             raise PreconditionError("maximal_torus requires a nilpotent algebra")
         z = center(L)
         k = z.dim
-        if k == 0:
-            return Subspace.zero(L.dim, L.p)
         pm = np.zeros((k, k), dtype=np.int64)
         for j in range(k):
             pm[:, j] = z.coords_of(L.ppow_vec(z.basis[j]))

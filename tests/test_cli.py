@@ -346,3 +346,27 @@ def test_no_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+def test_huge_integer_entries_are_reduced_mod_p(capsys, tmp_path):
+    huge = 10 ** 23  # beyond int64; even, so 0 mod 2
+    for doc in ({"p": 2, "dim": 1, "pmap": [[huge]]},
+                {"p": 2, "dim": 2, "pmap": [[0, 0], [0, 0]],
+                 "brackets": [{"i": 0, "j": 1, "v": [huge, huge + 2]}]}):
+        code, out, err = run(capsys, "check", write_doc(tmp_path, doc))
+        assert (code, err) == (0, "")
+        assert out.startswith(f"valid: p=2 dim={doc['dim']} basis=[x0")
+    L = rla.from_doc({"p": 3, "dim": 1, "pmap": [[huge]]})  # 10^23 = 1 mod 3
+    assert L.pmap.tolist() == [[1]]
+
+
+def test_undecodable_or_too_deep_document_is_input_error(capsys, tmp_path):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    for path in (latin, deep):
+        for command in ("check", "inspect"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and "Traceback" not in err

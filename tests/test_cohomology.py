@@ -220,8 +220,6 @@ def test_lift_cocycle_guards(heis3):
                   quotient=c.quotient, module=c.module)
     with pytest.raises(PreconditionError, match="shape"):
         rla.lift_cocycle(heis3, a, bad)
-    with pytest.raises(PreconditionError, match="outside"):
-        rla.lift_cocycle(heis3, a, c, j=rla.center(heis3))
     # the cochain lives on L/a: another p-ideal, even one of the same
     # dimension, has another projection
     b = Subspace.from_rows(np.array([[0, 1, 0], [0, 0, 1]]), 3, 3)
@@ -268,3 +266,64 @@ def test_p_complement_budget(heis2u):
     a = Subspace.from_rows(np.array([[1, 0, 0], [0, 0, 1]]), 2, 3)
     with pytest.raises(BudgetExceededError):
         rla.find_p_complement(heis2u, a, budget=1)
+
+
+def test_empty_shapes_take_the_general_path(heis2u, heis3):
+    """Dimension 0 and the zero subspace go through the general expressions
+    (kernels of 0-row or 0-column matrices, empty products); the values are
+    worked out by hand."""
+    for p in (2, 3):
+        blocks = list(rla.coeff_blocks(0, p))
+        assert len(blocks) == 1 and blocks[0].shape == (1, 0)
+        for n in range(4):
+            assert list(rla.enumerate_subspaces(n, p, [0])) == [Subspace.zero(n, p)]
+            zero, full = Subspace.zero(n, p), Subspace.full(n, p)
+            assert zero.coords_of(np.zeros(n, dtype=np.int64)).shape == (0,)
+            if n:
+                with pytest.raises(PreconditionError):
+                    zero.coords_of(np.eye(n, dtype=np.int64)[0])
+            v = np.arange(n, dtype=np.int64) % p
+            assert np.array_equal(full.coords_of(v), v)
+            for a, b in ((zero, full), (full, zero), (zero, zero)):
+                assert a.intersection(b) == zero
+            assert np.array_equal(zero.annihilator(), np.eye(n, dtype=np.int64))
+            assert full.annihilator().shape == (0, n)
+
+    for L in (heis2u, heis3, rla.torus(0, 2).algebra, rla.one_dim_nil(3).algebra):
+        zero, full = Subspace.zero(L.dim, L.p), Subspace.full(L.dim, L.p)
+        assert rla.centralizer(L, zero) == full
+        assert rla.normalizer(L, zero) == full
+        assert rla.normalizer(L, full) == full
+        for s in (zero, full):
+            assert rla.bracket_space(L, zero, s) == zero
+            assert rla.bracket_space(L, s, zero) == zero
+
+    for p in (2, 3):
+        t0, e1 = rla.torus(0, p).algebra, rla.one_dim_nil(p).algebra
+        # torus(0): everything is the zero space; der_p = 0, so h1 = 0
+        assert rla.maximal_torus(t0) == Subspace.zero(0, p)
+        assert rla.Derivation(t0, np.zeros((0, 0), dtype=np.int64)).is_nilpotent
+        assert rla.find_square_zero_outer(t0) is None
+        assert rla.find_nilpotent_outer(t0) is None
+        # span(e), e^[p] = 0: no torus; every D is restricted and outer
+        # except 0, and D^2 = 0 or D nilpotent forces D = 0
+        assert rla.maximal_torus(e1) == Subspace.zero(1, p)
+        assert rla.Derivation(e1, [[0]]).is_nilpotent
+        assert not rla.Derivation(e1, [[1]]).is_nilpotent
+        assert rla.h1_adjoint_dim(e1) == 1
+        assert rla.find_square_zero_outer(e1) is None
+        assert rla.find_nilpotent_outer(e1) is None
+        # modules of dimension 0, and modules over the 0-dim algebra (whose
+        # enveloping algebra is GF(p): every module is free of rank mdim)
+        for L in (t0, e1):
+            M = rla.trivial_module(L, 0)
+            assert rla.invariants(L, M) == Subspace.zero(0, p)
+            assert rla.is_free_over_unipotent(L, M) == (True, 0)
+        for m in (1, 2):
+            M = rla.trivial_module(t0, m)
+            assert rla.invariants(t0, M) == Subspace.full(m, p)
+            assert rla.is_free_over_unipotent(t0, M) == (True, m)
+        # the trivial module of span(e) has rank 1 but dimension 1 < p
+        M = rla.trivial_module(e1, 1)
+        assert rla.invariants(e1, M) == Subspace.full(1, p)
+        assert rla.is_free_over_unipotent(e1, M) == (False, 1)
